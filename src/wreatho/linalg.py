@@ -1,66 +1,110 @@
-"""Exact dense linear algebra over the rationals (small systems only)."""
+"""Exact sparse linear algebra over the rationals.
+
+Every routine runs on one elimination core, ``_echelon``.  A row is held as
+a ``{column: Fraction}`` dict with no zero entries, so the cost follows the
+nonzeros and their fill-in rather than rows x columns: the commutation
+systems of the center split into many small independent pieces, and fill-in
+stays inside each piece.  Pivots are taken in column order and every pivot
+row is kept fully reduced, which yields the unique reduced row echelon form;
+the results therefore do not depend on the order of the input rows.
+"""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress
+
+SparseRow = dict[int, Fraction]
 
 
-def rref(rows: list[list[Fraction]]):
-    """Reduced row echelon form in place; returns the pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
+def _sparse(row) -> SparseRow:
+    """The nonzero entries of a dense row; int zeros are skipped without a
+    Python-level ``Fraction.__bool__`` call, which dominates on wide rows."""
+    return {k: Fraction(row[k]) for k in compress(range(len(row)), row)}
+
+
+def _reduce(row: SparseRow, pivots: dict[int, SparseRow]) -> SparseRow:
+    """Clear every pivot column from `row`, in place.
+
+    Pivot rows vanish on every other pivot column, so subtracting one never
+    brings back a pivot column that was already cleared.
+    """
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row.pop(c), pivots[c], c)
+    return row
+
+
+def _subtract(row: SparseRow, f: Fraction, pivot: SparseRow, lead: int) -> None:
+    """row -= f * pivot on every column but `lead`, which the caller cleared."""
+    for k, v in pivot.items():
+        if k != lead:
+            x = row.get(k, 0) - f * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def _echelon(rows) -> dict[int, SparseRow]:
+    """The reduced row echelon form of the row space, as pivot column ->
+    pivot row (leading entry 1, zero on every other pivot column)."""
+    pivots: dict[int, SparseRow] = {}
+    for dense in rows:
+        row = _reduce(_sparse(dense), pivots)
+        if not row:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {k: v * inv for k, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other.pop(lead), row, lead)
+        pivots[lead] = row
     return pivots
 
 
+def rref(rows: list[list[Fraction]]):
+    """Reduced row echelon form in place; returns the pivot column list.
+
+    The nonzero rows come first in pivot order, the zero rows after them.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = _echelon(rows)
+    order = sorted(pivots)
+    zero = Fraction(0)
+    reduced = [[pivots[c].get(k, zero) for k in range(ncols)] for c in order]
+    rows[:] = reduced + [[zero] * ncols for _ in range(len(rows) - len(order))]
+    return order
+
+
 def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the solution space of rows * x = 0, denominators cleared."""
-    work = [list(map(Fraction, row)) for row in rows if any(row)]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of the solution space of rows * x = 0, denominators cleared.
+
+    One vector per free column, in column order: 1 on its free column, minus
+    that column of the reduced rows on the pivot columns.
+    """
+    pivots = _echelon(rows)
+    zero = Fraction(0)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [zero] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        lcm = 1
-        for x in vec:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        for pc, row in pivots.items():
+            if fc in row:
+                vec[pc] = -row[fc]
+        lcm = math.lcm(*(x.denominator for x in vec))
         basis.append([x * lcm for x in vec])
     return basis
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    work = [list(map(Fraction, row)) for row in rows if any(row)]
-    return len(rref(work))
+    return len(_echelon(rows))
 
 
 def in_row_space(rows: list[list[Fraction]], vec: list[Fraction]) -> bool:
-    base = [list(map(Fraction, r)) for r in rows]
-    r0 = rank([list(r) for r in base])
-    return rank(base + [list(map(Fraction, vec))]) == r0
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return not _reduce(_sparse(vec), _echelon(rows))

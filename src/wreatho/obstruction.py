@@ -98,10 +98,12 @@ def obstruction_ek(spec: DeformationSpec, k: int) -> Element:
     """[e_k, sum_i RHS(i,i)], normal-formed; linear in c and d."""
     if not 0 <= k < spec.n:
         raise ValueError("k out of range")
-    rhs = build_deformed_rhs(spec)
-    alg = Algebra(spec.n)
+    return _obstruction_ek(build_deformed_rhs(spec), Algebra(spec.n), k)
+
+
+def _obstruction_ek(rhs: dict, alg: Algebra, k: int) -> Element:
     total = alg.zero()
-    for i in range(spec.n):
+    for i in range(alg.n):
         total = total + rhs[(i, i)]
     return commutator(alg.e(k), total)
 
@@ -181,8 +183,11 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     report["mixed_scale"] = None if scale is None else str(abs(scale))
     assert scale is not None, "mixed term not proportional to the reference"
 
+    # the deformed right sides, built once for the diagonal and off-diagonal checks
+    rhs = build_deformed_rhs(spec)
+
     # diagonal obstruction: c first (single witness), then d
-    obstructions = [obstruction_ek(spec, k) for k in range(spec.n)]
+    obstructions = [_obstruction_ek(rhs, alg, k) for k in range(spec.n)]
     i_wit = 1 if spec.n >= 2 else 0
     wit = witness_monomial(spec, i=i_wit, k=0)
     wit_coef = obstructions[0].coefficient(wit)
@@ -197,7 +202,6 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     d_forced_after_c = linalg.in_row_space(cd_rows, [Fraction(0), Fraction(1)])
 
     # off-diagonal: weight-vector conditions in u, v
-    rhs = build_deformed_rhs(spec)
     uv_elements = []
     for i in range(spec.n):
         for j in range(spec.n):

@@ -459,7 +459,6 @@ def _separating_invariants(gamma: GammaSpec, t: Weight) -> tuple:
                     mono = [0] * m
                     for i in expo:
                         mono[i] += 1
-                    orbit_vals = set()
                     s = Fraction(0)
                     for r in range(m):
                         term = Fraction(1)
@@ -601,7 +600,10 @@ def center_basis_up_to_degree(
     """Exact basis of {z : [z, generators] = 0} within bounded PBW degree.
 
     Solves the commutation conditions against e_i, f_i, h_i and the group
-    generators as one rational linear system.  Desk scale: n <= 2, dmax <= 4.
+    generators as one rational linear system by sparse exact elimination
+    (``linalg.nullspace``); each equation touches a handful of monomials.
+    The range stays capped at n <= 2, dmax <= 4, where the largest system
+    (dmax = 4 with a group of order 2) has 420 unknowns and 3560 equations.
     """
     if n > 2 or dmax > 4:
         raise ValueError("center computation capped at n <= 2, dmax <= 4")
@@ -627,7 +629,7 @@ def center_basis_up_to_degree(
         by_equation.setdefault((out_mono, gid), {})[k] = val
     mat = []
     for eq in by_equation.values():
-        row = [Fraction(0)] * len(basis)
+        row = [0] * len(basis)  # int zeros: linalg skips them cheaply
         for k, val in eq.items():
             row[k] = val
         mat.append(row)

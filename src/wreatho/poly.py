@@ -160,17 +160,6 @@ class Poly:
             out = out + term
         return out
 
-    def coefficient_of(self, name: str, exp: int = 1) -> "Poly":
-        """Collect the (polynomial) coefficient of name**exp, ignoring other
-        variables' contribution to that monomial slot."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            d = dict(mono)
-            if d.get(name, 0) == exp:
-                rest = tuple(sorted((k, v) for k, v in d.items() if k != name))
-                out[rest] = out.get(rest, Fraction(0)) + coef
-        return Poly(out)
-
     def linear_parts(self) -> dict[str, Fraction]:
         """For a polynomial that is homogeneous linear in its variables,
         return {variable: coefficient}.  Raises if any term is nonlinear or

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
+
 Weight = tuple  # tuple[Fraction, ...]
 Perm = tuple  # tuple[int, ...]; p[i] is the image of coordinate i
 
@@ -498,10 +500,6 @@ def orbit_and_stabilizer(gamma: GammaSpec, lam: Weight):
     return orb, stab
 
 
-def in_same_orbit(gamma: GammaSpec, lam: Weight, mu: Weight) -> bool:
-    return canonical_orbit_rep(gamma, lam) == canonical_orbit_rep(gamma, mu)
-
-
 # ---------------------------------------------------------------------------
 # Kostant partition function
 
@@ -571,58 +569,23 @@ def _separating_functional(roots: list[Weight]):
     nonempty; we enumerate candidate vertex systems and check them.
     """
     n = len(roots[0])
-    basis = _row_space_basis(roots)
-    dim = len(basis)
+    basis = [list(r) for r in roots]
+    dim = len(linalg.rref(basis))
     if dim == 0:
         return None
     for subset in itertools.combinations(range(len(roots)), dim):
-        # solve sum_j x_j basis_j . roots[s] = 1 for s in subset
-        mat = [[_dot(basis[j], roots[s]) for j in range(dim)] for s in subset]
-        rhs = [Fraction(1)] * dim
-        sol = _solve_square(mat, rhs)
-        if sol is None:
+        # solve sum_j x_j basis_j . roots[s] = 1 for s in subset; the system
+        # is regular iff its reduced form has a pivot in every unknown
+        aug = [
+            [_dot(basis[j], roots[s]) for j in range(dim)] + [Fraction(1)]
+            for s in subset
+        ]
+        if linalg.rref(aug) != list(range(dim)):
             continue
         w = tuple(
-            sum((sol[j] * basis[j][i] for j in range(dim)), Fraction(0))
+            sum((aug[j][dim] * basis[j][i] for j in range(dim)), Fraction(0))
             for i in range(n)
         )
         if all(_dot(w, r) >= 1 for r in roots):
             return w
     return None
-
-
-def _row_space_basis(rows: list[Weight]) -> list[Weight]:
-    mat = [list(r) for r in rows]
-    basis = []
-    cols = len(mat[0])
-    pivot_cols = []
-    for row in mat:
-        row = list(row)
-        for b, pc in zip(basis, pivot_cols):
-            if row[pc]:
-                factor = row[pc] / b[pc]
-                row = [x - factor * y for x, y in zip(row, b)]
-        for c in range(cols):
-            if row[c]:
-                basis.append(row)
-                pivot_cols.append(c)
-                break
-    return [tuple(b) for b in basis]
-
-
-def _solve_square(mat, rhs):
-    """Exact solve of a square system; None if singular."""
-    k = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]

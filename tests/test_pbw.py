@@ -298,6 +298,26 @@ class TestCenterBasis:
         with pytest.raises(ValueError):
             center_basis_up_to_degree(3, 2)
 
+    @pytest.mark.parametrize("spec", ["S:2", "C:2"])
+    def test_degree_four_with_group(self, spec):
+        # the Casimir monomials of degree <= 4 up to the swap:
+        # 1, Om0 + Om1, Om0^2 + Om1^2 and Om0 Om1
+        gamma = parse_gamma(spec)
+        basis = center_basis_up_to_degree(2, 4, gamma)
+        assert len(basis) == 4
+        alg = Algebra(2, gamma)
+        gens = [alg.gen(kind, i) for i in range(2) for kind in "efh"]
+        gens += [alg.group_element(p) for p in gamma.group().generators()]
+        for z in basis:
+            assert not z.is_zero()
+            for g in gens:
+                assert commutator(z, g).is_zero()
+        om0, om1 = alg.casimir(0), alg.casimir(1)
+        perms = gamma.group().elements()
+        vecs = [_coeff_vector(b, alg, 4, perms) for b in basis]
+        for known in (alg.one(), om0 + om1, om0 * om0 + om1 * om1, om0 * om1):
+            assert in_row_space(vecs, _coeff_vector(known, alg, 4, perms))
+
 
 def _coeff_vector(elem, alg, dmax, perms):
     from wreatho.pbw import monomial_basis
