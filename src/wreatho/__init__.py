@@ -54,12 +54,12 @@ from .weights import (
     SignedPermutation,
     Weight,
     dot_act,
-    gamma_act,
     kostant_p,
     leq,
     orbit_and_stabilizer,
     parse_gamma,
     parse_weight,
+    perm_act,
 )
 
 __version__ = "0.1.0"

@@ -50,17 +50,12 @@ def verma_factors_A(lam: Weight) -> dict[Weight, int]:
     return out
 
 
-def _pi_identity(lam: Weight) -> Weight:
-    """Restriction hook G -> G0; the identity in the strict case."""
-    return lam
-
-
-def s_sets_A(lam: Weight, m: int, pi=_pi_identity) -> set[Weight]:
+def s_sets_A(lam: Weight, m: int) -> set[Weight]:
     """The linkage sets S^1..S^4 of a weight for the plain tensor algebra.
 
     S^3 is the equivalence closure of the rank-1 subquotient relation (per
     coordinate {c, -c-2} when c is an integer); S^4 is the full dot orbit
-    {c, -c-2} regardless; S^2 = pi(S^3); S^1 truncates S^2 below lam.
+    {c, -c-2} regardless; S^2 = S^3; S^1 truncates S^3 below lam.
     """
     lam = as_weight(lam)
     if m not in (1, 2, 3, 4):
@@ -72,12 +67,9 @@ def s_sets_A(lam: Weight, m: int, pi=_pi_identity) -> set[Weight]:
         {c, flip_coord(c)} if c.denominator == 1 else {c} for c in lam
     ]
     s3 = set(itertools.product(*per))
-    if m == 3:
-        return s3
-    s2 = {pi(mu) for mu in s3}
-    if m == 2:
-        return s2
-    return {mu for mu in s2 if leq(mu, pi(lam))}
+    if m == 1:
+        return {mu for mu in s3 if leq(mu, lam)}
+    return s3
 
 
 class CharacterVB:

@@ -53,17 +53,8 @@ def _parse_inputs(gamma_text: str, weight_text: str):
 
 
 @click.group()
-@click.option(
-    "--cache-dir",
-    default=None,
-    help="character table cache directory (else $WREATHO_CACHE_DIR)",
-)
-def main(cache_dir):
+def main():
     """Exact category-O combinatorics for wreath-type skew group rings."""
-    if cache_dir:
-        import os
-
-        os.environ["WREATHO_CACHE_DIR"] = cache_dir
 
 
 @main.command()

@@ -168,9 +168,6 @@ class CObject:
     def items(self):
         return [(x, self.terms[x]) for x in self]
 
-    def total_dim(self, gamma: GammaSpec) -> int:
-        return sum(m * dim_m(gamma, x) for x, m in self.terms.items())
-
     def __repr__(self):
         return " + ".join(
             (f"{m}*" if m != 1 else "") + repr(x) for x, m in self.items()

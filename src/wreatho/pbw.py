@@ -260,12 +260,6 @@ class Element:
             k >>= 1
         return result
 
-    def total_degree(self) -> int:
-        deg = 0
-        for factors, _ in self.terms:
-            deg = max(deg, sum(sum(t) for t in factors))
-        return deg
-
     def substitute(self, values) -> "Element":
         return Element(
             self.algebra,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cato_a import CharacterVB, ch_simple_A, length_Z_A, s_sets_A
 from .clifford import (
@@ -180,18 +181,18 @@ def _cyclic_subset_stab_order(f: CycF, subset: frozenset) -> int:
     return count
 
 
-_DECOMP_CACHE: dict = {}
-
-
 def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> CObject:
     """Composition multiplicities [Z(x) : V(x')] via the flip-layer count.
 
     The built-in restriction check equates the total restricted length with
-    dimM(x) * length of the plain Verma; a mismatch raises.
+    dimM(x) * length of the plain Verma; a mismatch raises.  Each call
+    returns a fresh CObject, so callers may mutate it.
     """
-    cached = _DECOMP_CACHE.get((gamma, x))
-    if cached is not None:
-        return CObject(dict(cached))
+    return CObject(dict(_verma_decompose_terms(gamma, x)))
+
+
+@lru_cache(maxsize=None)
+def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
     validate_simplex(gamma, x)
     lam = x.orbit_rep
     out = CObject()
@@ -213,8 +214,7 @@ def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> CObject:
         raise InternalConsistencyError(
             f"restricted length {actual} != {expected} for {x}"
         )
-    _DECOMP_CACHE[(gamma, x)] = tuple(out.terms.items())
-    return out
+    return tuple(out.terms.items())
 
 
 # ---------------------------------------------------------------------------

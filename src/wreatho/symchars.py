@@ -12,10 +12,7 @@ multiplicities this package needs.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -141,7 +138,7 @@ def merge_cycle_types(types: Iterable[Partition]) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# full character tables with an on-disk cache
+# full character tables
 
 
 class CharTable:
@@ -165,9 +162,6 @@ class CharTable:
         values = [[char_value(lam, mu) for mu in cols] for lam in rows]
         return CharTable(n, rows, cols, values)
 
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self.values[self.partitions.index(lam)][self.classes.index(mu)]
-
     def validate(self) -> None:
         """Check hook dimensions and row orthogonality; raises on failure."""
         n = self.n
@@ -188,73 +182,17 @@ class CharTable:
                 if dot != (fact if i == j else 0):
                     raise ValueError(f"rows {i},{j} not orthogonal")
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "partitions": [list(p) for p in self.partitions],
-            "classes": [list(c) for c in self.classes],
-            "values": self.values,
-        }
 
-    @staticmethod
-    def from_json(data: dict) -> "CharTable":
-        return CharTable(
-            data["n"], data["partitions"], data["classes"], data["values"]
-        )
+def char_table(n: int, max_n: int = MAX_TABLE_N) -> CharTable:
+    """The validated character table of S_n, computed from `char_value`.
 
-
-def default_cache_dir() -> str:
-    env = os.environ.get("WREATHO_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "wreatho")
-
-
-_table_memory: dict[tuple[str, int], CharTable] = {}
-
-
-def char_table(n: int, cache_dir: str | None = None, max_n: int = MAX_TABLE_N) -> CharTable:
-    """The character table of S_n, cached as JSON under cache_dir.
-
-    A cached file is validated before use; a corrupt or inconsistent file is
-    recomputed and overwritten.
+    Not memoized: its entries come from `char_value`'s cache.
     """
     if not 1 <= n <= max_n:
         raise ValueError(f"n={n} outside supported range 1..{max_n}")
-    cache_dir = cache_dir or default_cache_dir()
-    memo_key = (cache_dir, n)
-    if memo_key in _table_memory:
-        return _table_memory[memo_key]
-    path = os.path.join(cache_dir, f"s{n}_chars.json")
-    table = None
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                table = CharTable.from_json(json.load(fh))
-            if table.n != n:
-                raise ValueError("wrong n")
-            table.validate()
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError, OSError):
-            table = None
-    if table is None:
-        table = CharTable.compute(n)
-        table.validate()
-        _write_atomic(path, json.dumps(table.to_json()))
-    _table_memory[memo_key] = table
+    table = CharTable.compute(n)
+    table.validate()
     return table
-
-
-def _write_atomic(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ encodes.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -403,10 +403,6 @@ def parse_gamma(text: str) -> GammaSpec:
     return GammaSpec(tuple(blocks))
 
 
-def gamma_act(p: Perm, lam: Weight) -> Weight:
-    return perm_act(p, lam)
-
-
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 
@@ -504,18 +500,13 @@ def orbit_and_stabilizer(gamma: GammaSpec, lam: Weight):
 # Kostant partition function
 
 
-_KOSTANT_STATE: dict = {}
-_KOSTANT_LOCK = threading.Lock()
-
-
 def kostant_p(theta: Sequence, roots: Sequence[Weight]) -> int:
     """Number of ways to write theta as a Z>=0 combination of `roots`.
 
     The root multiset must lie in an open half-space (otherwise counts could
     be infinite); this is checked exactly and violations raise ValueError.
     The recursion state (residual, root index) does not depend on theta, so
-    the memo table is shared (under a lock) across calls with the same root
-    list.
+    its memo is shared across calls with the same root tuple.
     """
     theta = as_weight(theta)
     roots = tuple(as_weight(r) for r in roots)
@@ -523,46 +514,37 @@ def kostant_p(theta: Sequence, roots: Sequence[Weight]) -> int:
         raise ValueError("roots must be nonzero")
     for r in roots:
         check_same_rank(theta, r)
-    with _KOSTANT_LOCK:
-        if roots not in _KOSTANT_STATE:
-            w = _separating_functional(list(roots))
-            if w is None:
-                raise ValueError("roots are not contained in an open half-space")
-            _KOSTANT_STATE[roots] = (w, {})
-        w, memo = _KOSTANT_STATE[roots]
-
-    def count(residual: Weight, idx: int) -> int:
-        if all(c == 0 for c in residual):
-            return 1
-        if idx == len(roots):
-            return 0
-        key = (residual, idx)
-        if key in memo:
-            return memo[key]
-        total = 0
-        root = roots[idx]
-        height = _dot(w, residual)
-        step = _dot(w, root)
-        nmax = int(height / step) if step > 0 else 0
-        cur = residual
-        for k in range(nmax + 1):
-            total += count(cur, idx + 1)
-            cur = tuple(a - b for a, b in zip(cur, root))
-        memo[key] = total
-        return total
-
-    if _dot(w, theta) < 0:
+    if _dot(_separating_functional(roots), theta) < 0:
         return 0
-    with _KOSTANT_LOCK:
-        return count(theta, 0)
+    return _kostant_count(roots, theta, 0)
+
+
+@lru_cache(maxsize=None)
+def _kostant_count(roots: tuple, residual: Weight, idx: int) -> int:
+    """Ways to write residual with roots[idx:]; roots admit a functional."""
+    if all(c == 0 for c in residual):
+        return 1
+    if idx == len(roots):
+        return 0
+    w = _separating_functional(roots)
+    root = roots[idx]
+    step = _dot(w, root)
+    nmax = int(_dot(w, residual) / step) if step > 0 else 0
+    total = 0
+    cur = residual
+    for _ in range(nmax + 1):
+        total += _kostant_count(roots, cur, idx + 1)
+        cur = tuple(a - b for a, b in zip(cur, root))
+    return total
 
 
 def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _separating_functional(roots: list[Weight]):
-    """An exact w with w . r >= 1 for all roots, or None if none exists.
+@lru_cache(maxsize=None)
+def _separating_functional(roots: tuple) -> Weight:
+    """An exact w with w . r >= 1 for all roots; ValueError if none exists.
 
     The feasible set, restricted to the span of the roots, is pointed, so a
     vertex (cut out by dim-many tight constraints) exists whenever the set is
@@ -572,7 +554,7 @@ def _separating_functional(roots: list[Weight]):
     basis = [list(r) for r in roots]
     dim = len(linalg.rref(basis))
     if dim == 0:
-        return None
+        raise ValueError("roots are not contained in an open half-space")
     for subset in itertools.combinations(range(len(roots)), dim):
         # solve sum_j x_j basis_j . roots[s] = 1 for s in subset; the system
         # is regular iff its reduced form has a pivot in every unknown
@@ -588,4 +570,4 @@ def _separating_functional(roots: list[Weight]):
         )
         if all(_dot(w, r) >= 1 for r in roots):
             return w
-    return None
+    raise ValueError("roots are not contained in an open half-space")

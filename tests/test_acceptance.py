@@ -53,10 +53,10 @@ from wreatho.skew_o import (
 )
 from wreatho.symchars import char_value, irrep_dim, partitions_of
 from wreatho.weights import (
-    gamma_act,
     kostant_p,
     orbit_of,
     parse_gamma,
+    perm_act,
     perm_inverse,
     simple_roots,
 )
@@ -251,8 +251,8 @@ def test_criterion_06_functoriality():
         gens = gamma.group().generators() or [tuple(range(n))]
         g = rng.choice(gens)
         for m in (1, 2, 3, 4):
-            assert {gamma_act(g, mu) for mu in s_sets_A(lam, m)} == s_sets_A(
-                gamma_act(g, lam), m
+            assert {perm_act(g, mu) for mu in s_sets_A(lam, m)} == s_sets_A(
+                perm_act(g, lam), m
             )
         split = rng.randint(1, max(1, n - 1)) if n > 1 else 1
         lam1, lam2 = lam[:split], lam[split:]
@@ -372,7 +372,7 @@ def test_criterion_08_central_characters():
         if rng.random() < 0.5:
             mu = tuple(c if rng.random() < 0.5 else -c - 2 for c in lam)
             perm = rng.choice(gamma.group().elements())
-            mu = gamma_act(perm, mu)
+            mu = perm_act(perm, mu)
         else:
             mu = _random_weight(rng, gamma.n)
         out = cc_equal(gamma, lam, mu)  # raises on any divergence

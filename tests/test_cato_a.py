@@ -13,7 +13,7 @@ from wreatho.cato_a import (
     verma_factors_A,
     verma_factors_sl2,
 )
-from wreatho.weights import gamma_act, parse_gamma
+from wreatho.weights import parse_gamma, perm_act
 
 
 def w(*coords):
@@ -81,8 +81,8 @@ class TestSSets:
             lam = tuple(F(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(n))
             for g in gamma.group().generators():
                 for m in (1, 2, 3, 4):
-                    lhs = {gamma_act(g, mu) for mu in s_sets_A(lam, m)}
-                    assert lhs == s_sets_A(gamma_act(g, lam), m)
+                    lhs = {perm_act(g, mu) for mu in s_sets_A(lam, m)}
+                    assert lhs == s_sets_A(perm_act(g, lam), m)
 
     def test_product_law(self):
         rng = random.Random(22)

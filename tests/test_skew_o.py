@@ -68,6 +68,14 @@ class TestVermaDecompose:
         bottom_sign = classify_X_over(S2, w(-2, -2))[1]
         assert dict(out.terms) == {xs[1]: 1, mid: 1, bottom_sign: 1}
 
+    def test_result_is_a_fresh_copy(self):
+        xs = classify_X_over(S2, w(0, 0))
+        first = verma_decompose_skew(S2, xs[0])
+        expected = dict(first.terms)
+        first.add(xs[1], 7)
+        first.terms[xs[0]] = 5
+        assert dict(verma_decompose_skew(S2, xs[0]).terms) == expected
+
     def test_simple_verma(self):
         x = classify_X_over(S2, w(-3, F(-1, 2)))[0]
         out = verma_decompose_skew(S2, x)
@@ -510,11 +518,33 @@ class TestConcurrency:
         serial = [block_matrices(g, x).to_json() for g, x in jobs]
         import wreatho.skew_o as so
 
-        so._DECOMP_CACHE.clear()
+        so._verma_decompose_terms.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(
                 pool.map(lambda job: block_matrices(*job).to_json(), jobs)
             )
+        assert parallel == serial
+
+    def test_parallel_kostant_cold_cache_matches_serial(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        import wreatho.weights as wt
+
+        roots = [w(2, 0), w(0, 2), w(2, 2)]
+        thetas = [w(a, b) for a in range(-2, 13, 2) for b in range(-2, 13, 2)]
+        serial = [wt.kostant_p(theta, roots) for theta in thetas]
+        wt._separating_functional.cache_clear()
+        wt._kostant_count.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(
+                    pool.map(lambda theta: wt.kostant_p(theta, roots), thetas, timeout=60)
+                )
+        finally:
+            sys.setswitchinterval(interval)
         assert parallel == serial
 
 

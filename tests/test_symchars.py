@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -6,7 +5,6 @@ import pytest
 
 from oracles import cycle_type_rep, specht_character, standard_tableaux_count
 from wreatho.symchars import (
-    CharTable,
     char_table,
     char_value,
     class_size,
@@ -95,31 +93,13 @@ class TestTables:
         char_table(9, max_n=9).validate()
 
 
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        t = char_table(4, cache_dir=str(tmp_path))
-        path = tmp_path / "s4_chars.json"
-        assert path.exists()
-        reloaded = CharTable.from_json(json.loads(path.read_text()))
-        assert reloaded.values == t.values
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        path = tmp_path / "s3_chars.json"
-        path.write_text("{not json")
-        t = char_table(3, cache_dir=str(tmp_path))
-        t.validate()
-        assert json.loads(path.read_text())["n"] == 3
-
-    def test_inconsistent_cache_recomputed(self, tmp_path):
-        good = CharTable.compute(3).to_json()
-        good["values"][0][0] = 5  # breaks the hook-dimension invariant
-        path = tmp_path / "s3_chars.json"
-        path.write_text(json.dumps(good))
-        from wreatho import symchars
-
-        symchars._table_memory.pop((str(tmp_path), 3), None)
-        t = char_table(3, cache_dir=str(tmp_path))
-        assert t.values[0][0] == 1
+class TestNoFiles:
+    def test_tables_write_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("WREATHO_CACHE_DIR", str(tmp_path / "cache"))
+        for n in range(1, 7):
+            char_table(n)
+        assert list(tmp_path.iterdir()) == []
 
 
 def sym(positions):
