@@ -18,6 +18,7 @@ from .weights import (
     CycF,
     GammaSpec,
     GroupDesc,
+    InternalConsistencyError,
     SymF,
     Weight,
     canonical_orbit_rep,
@@ -103,7 +104,8 @@ def transport_irrep(
     rep = canonical_orbit_rep(gamma, src_weight)
     dst_stab = stabilizer(gamma, rep)
     if src_weight == rep:
-        assert src_stab == dst_stab
+        if src_stab != dst_stab:
+            raise InternalConsistencyError(f"stabilizer mismatch at {rep}")
         return SimpleX(rep, dst_stab, irrep)
     src_by_key = {}
     for f, label in zip(src_stab.factors, irrep):

@@ -18,7 +18,6 @@ w_{ij} monomial by monomial.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,10 +26,12 @@ from .pbw import (
     Algebra,
     Element,
     commutator,
+    enveloping_monomials,
     m_one_S_delta,
     mixed_term,
 )
 from .poly import Poly
+from .weights import InternalConsistencyError
 
 
 @dataclass
@@ -131,19 +132,6 @@ def witness_monomial(spec: DeformationSpec, i: int, k: int):
     return (tuple(factors), tuple(perm))
 
 
-def enveloping_monomials(n: int, dmax: int):
-    singles = [
-        (a, b, c)
-        for total in range(dmax + 1)
-        for a in range(total + 1)
-        for b in range(total - a + 1)
-        for c in (total - a - b,)
-    ]
-    for combo in itertools.product(singles, repeat=n):
-        if sum(sum(t) for t in combo) <= dmax:
-            yield combo
-
-
 def ad_h_weight(factors) -> tuple:
     """ad h_i eigenvalue of a PBW monomial: 2(c_i - a_i) per factor."""
     return tuple(2 * (c - a) for (a, b, c) in factors)
@@ -181,7 +169,8 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     scale = _proportionality(residual, m_ref)
     report["sign_of_mij"] = "-" if scale is not None and scale < 0 else "+"
     report["mixed_scale"] = None if scale is None else str(abs(scale))
-    assert scale is not None, "mixed term not proportional to the reference"
+    if scale is None:
+        raise InternalConsistencyError("mixed term not proportional to the reference")
 
     # the deformed right sides, built once for the diagonal and off-diagonal checks
     rhs = build_deformed_rhs(spec)

@@ -26,6 +26,7 @@ from . import linalg
 from .poly import ONE, Poly
 from .weights import (
     GammaSpec,
+    InternalConsistencyError,
     Perm,
     Weight,
     perm_act,
@@ -494,8 +495,6 @@ def cc_equal(gamma: GammaSpec, lam: Weight, mu: Weight) -> dict:
         gamma, t_mu
     )
     if orbit_test != invariant_test:
-        from .skew_o import InternalConsistencyError
-
         raise InternalConsistencyError(
             f"orbit test {orbit_test} disagrees with invariants for {lam},{mu}"
         )
@@ -570,8 +569,9 @@ def mixed_term(n: int, i: int, j: int) -> Element:
 # center computation at desk scale
 
 
-def monomial_basis(alg: Algebra, dmax: int, perms: list[Perm]) -> list[Monomial]:
-    n = alg.n
+def enveloping_monomials(n: int, dmax: int):
+    """The PBW monomials of U(sl2)^n of degree <= dmax, as tuples of
+    per-factor exponents (a, b, c) of f^a h^b e^c."""
     singles = [
         (a, b, c)
         for total in range(dmax + 1)
@@ -579,66 +579,63 @@ def monomial_basis(alg: Algebra, dmax: int, perms: list[Perm]) -> list[Monomial]
         for b in range(total - a + 1)
         for c in (total - a - b,)
     ]
-    out = []
     for combo in itertools.product(singles, repeat=n):
-        if sum(sum(t) for t in combo) > dmax:
-            continue
-        for p in perms:
-            out.append((tuple(combo), p))
-    return out
+        if sum(sum(t) for t in combo) <= dmax:
+            yield combo
+
+
+def monomial_basis(alg: Algebra, dmax: int, perms: list[Perm]) -> list[Monomial]:
+    return [
+        (factors, p) for factors in enveloping_monomials(alg.n, dmax) for p in perms
+    ]
 
 
 def center_basis_up_to_degree(
     n: int, dmax: int, gamma: GammaSpec | None = None
 ) -> list[Element]:
-    """Exact basis of {z : [z, generators] = 0} within bounded PBW degree.
+    """Exact basis of the center of Gamma x| U(sl2)^n within bounded PBW degree.
 
-    Solves the commutation conditions against e_i, f_i, h_i and the group
-    generators as one rational linear system by sparse exact elimination
-    (``linalg.nullspace``); each equation touches a handful of monomials.
-    The range stays capped at n <= 2, dmax <= 4, where the largest system
-    (dmax = 4 with a group of order 2) has 420 unknowns and 3560 equations.
+    Gamma x| U is a free left U-module on Gamma, and U = U(sl2)^n is a
+    domain.  For z = sum_g X_g g the leading symbol of [h_i, z] at g is
+    sigma(X_g) (h_i - h_{g(i)}), so X_g = 0 for each g != 1 (it moves some
+    i), and X_1 has ad-h weight zero: equal f- and e-exponents in every
+    factor.  The center is Z(U)^Gamma (Harish-Chandra).  So the unknowns are
+    the weight-zero monomials with identity group part, which the h_i
+    commute with; the commutators with e_i, f_i and the group generators
+    give the equations, solved by ``linalg.nullspace``.  Every null vector
+    of the ansatz over all monomials and group elements vanishes on the
+    dropped columns, and the kept ones keep their order, so the basis is
+    the same.  The range stays capped at n <= 2, dmax <= 4; the largest
+    system (dmax = 4, a group of order 2) has 30 unknowns and 90 equations.
     """
     if n > 2 or dmax > 4:
         raise ValueError("center computation capped at n <= 2, dmax <= 4")
     alg = Algebra(n, gamma)
-    perms = gamma.group().elements() if gamma else [tuple(range(n))]
-    basis = monomial_basis(alg, dmax, perms)
-    index = {m: k for k, m in enumerate(basis)}
-    gens = []
-    for i in range(n):
-        gens.extend([alg.e(i), alg.f(i), alg.h(i)])
+    basis = [
+        mono
+        for mono in monomial_basis(alg, dmax, [alg._id_perm()])
+        if all(a == c for a, _, c in mono[0])
+    ]
+    gens = [alg.gen(kind, i) for i in range(n) for kind in "ef"]
     if gamma:
-        for p in gamma.group().generators():
-            gens.append(alg.group_element(p))
-    rows = []
+        gens += [alg.group_element(p) for p in gamma.group().generators()]
+    by_equation: dict = {}
     for k, mono in enumerate(basis):
         elem = Element(alg, {mono: ONE})
-        for g in gens:
-            bracket = commutator(elem, g)
-            for out_mono, coef in bracket.terms.items():
-                rows.append((out_mono, g_id(g), k, coef.constant_value()))
-    by_equation: dict = {}
-    for out_mono, gid, k, val in rows:
-        by_equation.setdefault((out_mono, gid), {})[k] = val
+        for g_idx, g in enumerate(gens):
+            for out_mono, coef in commutator(elem, g).terms.items():
+                eq = by_equation.setdefault((out_mono, g_idx), {})
+                eq[k] = coef.constant_value()
     mat = []
     for eq in by_equation.values():
         row = [0] * len(basis)  # int zeros: linalg skips them cheaply
         for k, val in eq.items():
             row[k] = val
         mat.append(row)
-    null = linalg.nullspace(mat, len(basis))
-    out = []
-    for vec in null:
-        terms = {
-            basis[k]: Poly.const(v) for k, v in enumerate(vec) if v
-        }
-        out.append(Element(alg, terms))
-    return out
-
-
-def g_id(g: Element) -> tuple:
-    return tuple(sorted(g.terms))
+    return [
+        Element(alg, {basis[k]: Poly.const(v) for k, v in enumerate(vec) if v})
+        for vec in linalg.nullspace(mat, len(basis))
+    ]
 
 
 # ---------------------------------------------------------------------------

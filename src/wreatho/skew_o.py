@@ -38,6 +38,7 @@ from .weights import (
     CycF,
     GammaSpec,
     GroupDesc,
+    InternalConsistencyError,
     SymF,
     Weight,
     canonical_orbit_rep,
@@ -49,10 +50,6 @@ from .weights import (
     orbit_of,
     stabilizer,
 )
-
-
-class InternalConsistencyError(RuntimeError):
-    """A structural identity the implementation guarantees has failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +218,12 @@ def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
 # linkage sets
 
 
-def _saturated_orbit_reps(gamma: GammaSpec, lam: Weight, m: int) -> list[Weight]:
-    reps = {canonical_orbit_rep(gamma, mu) for mu in s_sets_A(lam, m)}
-    return sorted(reps)
+def _saturated_simples(gamma: GammaSpec, x: SimpleX, m: int) -> list[SimpleX]:
+    """All simples over the Gamma-saturation of the plain S^m set of x."""
+    reps = {canonical_orbit_rep(gamma, mu) for mu in s_sets_A(x.orbit_rep, m)}
+    out = [y for rep in sorted(reps) for y in classify_X_over(gamma, rep)]
+    out.sort(key=SimpleX.sort_key)
+    return out
 
 
 def s3_skew(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
@@ -233,20 +233,12 @@ def s3_skew(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
     orbit; block matrices are computed over it (they decompose into the
     strict classes, see s3_component).
     """
-    out = []
-    for rep in _saturated_orbit_reps(gamma, x.orbit_rep, 3):
-        out.extend(classify_X_over(gamma, rep))
-    out.sort(key=SimpleX.sort_key)
-    return out
+    return _saturated_simples(gamma, x, 3)
 
 
 def s4_skew(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
     """Central character twins: all simples over the saturated dot orbit."""
-    out = []
-    for rep in _saturated_orbit_reps(gamma, x.orbit_rep, 4):
-        out.extend(classify_X_over(gamma, rep))
-    out.sort(key=SimpleX.sort_key)
-    return out
+    return _saturated_simples(gamma, x, 4)
 
 
 def _closure(gamma: GammaSpec, x: SimpleX, with_duality: bool) -> set[SimpleX]:
@@ -328,18 +320,6 @@ class BlockData:
         return "\n".join(lines)
 
 
-def _matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _is_symmetric(a) -> bool:
     return all(
         a[i][j] == a[j][i] for i in range(len(a)) for j in range(len(a))
@@ -349,8 +329,12 @@ def _is_symmetric(a) -> bool:
 def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
     """D, F, C, C' over the linkage set of x, sorted highest first.
 
-    C = F D^T F D and C' = C F; the modified matrix must come out exactly
-    symmetric, otherwise an InternalConsistencyError is raised.
+    Duality permutes the simples: F is the matrix of the involution sigma
+    with F[sigma(j)][j] = 1.  So reciprocity C = F D^T F D reads
+    C[i][j] = sum_r D[r][sigma(i)] D[sigma(r)][j], a sum over the nonzero
+    entries of D, and C' = C F is the column permutation
+    C'[i][j] = C[i][sigma(j)].  D must be unitriangular, sigma an involution
+    and C' exactly symmetric; otherwise an InternalConsistencyError is raised.
     """
     xs = sorted(s3_skew(gamma, x), key=_block_sort_key(gamma))
     index = {y: i for i, y in enumerate(xs)}
@@ -365,11 +349,18 @@ def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
         for j in range(i):
             if D[i][j]:
                 raise InternalConsistencyError("D must vanish below the diagonal")
-    F = [[0] * k for _ in range(k)]
-    for j, y in enumerate(xs):
-        F[index[duality_F(y)]][j] = 1
-    C = _matmul(_matmul(_matmul(F, _transpose(D)), F), D)
-    Cprime = _matmul(C, F)
+    sigma = [index[duality_F(y)] for y in xs]
+    if any(sigma[s] != i for i, s in enumerate(sigma)):
+        raise InternalConsistencyError(f"duality is not an involution for {x}")
+    F = [[1 if j == s else 0 for j in range(k)] for s in sigma]
+    support = [[(j, v) for j, v in enumerate(row) if v] for row in D]
+    C = [[0] * k for _ in range(k)]
+    for r, row in enumerate(support):
+        for c, v in row:
+            target = C[sigma[c]]
+            for j, u in support[sigma[r]]:
+                target[j] += v * u
+    Cprime = [[row[s] for s in sigma] for row in C]
     if not _is_symmetric(Cprime):
         raise InternalConsistencyError(f"C' not symmetric for {x}")
     return BlockData(gamma, xs, D, F, C, Cprime)

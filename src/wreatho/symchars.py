@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .weights import CycF, GroupDesc, SymF, is_subgroup
+from .weights import CycF, GroupDesc, InternalConsistencyError, SymF, is_subgroup
 
 Partition = tuple  # weakly decreasing tuple of positive ints; () allowed
 
@@ -68,7 +68,8 @@ def dim_irrep(lam: Partition) -> int:
     for i, row in enumerate(lam):
         for j in range(row):
             hook = (row - j) + (conj[j] - i) - 1
-            assert d % hook == 0
+            if d % hook:
+                raise InternalConsistencyError(f"hook {hook} does not divide {d}")
             d //= hook
     return d
 
@@ -295,7 +296,8 @@ def restricted_inner_product(
         v2 = _product_char_value(g2, irrep2, cell_owner2, combo)
         total += Fraction(weight * v1 * v2)
     total /= order
-    assert total.denominator == 1 and total >= 0, "inner product must be in Z>=0"
+    if total.denominator != 1 or total < 0:
+        raise InternalConsistencyError(f"inner product {total} not in Z>=0")
     return int(total)
 
 

@@ -27,6 +27,10 @@ Weight = tuple  # tuple[Fraction, ...]
 Perm = tuple  # tuple[int, ...]; p[i] is the image of coordinate i
 
 
+class InternalConsistencyError(RuntimeError):
+    """A structural identity the implementation guarantees has failed."""
+
+
 # ---------------------------------------------------------------------------
 # weights and the partial order
 
@@ -492,7 +496,8 @@ def _necklace_symmetry_order(values: tuple) -> int:
 def orbit_and_stabilizer(gamma: GammaSpec, lam: Weight):
     orb = orbit_of(gamma, lam)
     stab = stabilizer(gamma, lam)
-    assert len(orb) * stab.order == gamma.group().order
+    if len(orb) * stab.order != gamma.group().order:
+        raise InternalConsistencyError(f"orbit x stabilizer != |Gamma| at {lam}")
     return orb, stab
 
 

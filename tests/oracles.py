@@ -4,7 +4,9 @@ These deliberately avoid the package's computational paths: characters come
 from explicit Specht-module traces, Verma structure from truncated modules
 with explicit generator matrices, and Kostant counts from bounded
 enumeration.  Only plain rational linear algebra is shared forensically
-(reimplemented here)."""
+(reimplemented here).  The exception is the center over the full ansatz,
+which checks the choice of unknowns, not the arithmetic: it multiplies with
+the PBW engine and solves with wreatho.linalg."""
 
 from __future__ import annotations
 
@@ -20,6 +22,9 @@ from wreatho.weights import (
     stabilizer,
 )
 from wreatho.clifford import SimpleX
+from wreatho.linalg import nullspace
+from wreatho.pbw import Algebra, Element, commutator
+from wreatho.poly import Poly
 from wreatho.weights import SymF
 
 # ---------------------------------------------------------------------------
@@ -425,20 +430,17 @@ class TruncatedRegularVerma:
         mu = perm_act(g, self.lam)
         return tuple(c - 2 * k for c, k in zip(mu, m))
 
-    def act_e(self, i, vec):
-        out = [Fraction(0)] * len(self.basis)
-        for idx, coef in enumerate(vec):
-            if not coef:
-                continue
-            m, g = self.basis[idx]
-            if m[i] == 0:
-                continue
-            mu = perm_act(g, self.lam)
-            scale = m[i] * (mu[i] - m[i] + 1)
-            if scale:
-                m2 = tuple(k - (1 if j == i else 0) for j, k in enumerate(m))
-                out[self.index[(m2, g)]] += coef * scale
-        return out
+    def e_image(self, i, idx):
+        """e_i on the basis vector idx: (target index, coefficient) or None."""
+        m, g = self.basis[idx]
+        if m[i] == 0:
+            return None
+        mu = perm_act(g, self.lam)
+        scale = m[i] * (mu[i] - m[i] + 1)
+        if not scale:
+            return None
+        m2 = tuple(k - (1 if j == i else 0) for j, k in enumerate(m))
+        return self.index[(m2, g)], scale
 
     def singular_dims_by_weight(self):
         by_weight: dict = {}
@@ -448,15 +450,19 @@ class TruncatedRegularVerma:
         for wgt, idxs in by_weight.items():
             mat_rows = []
             for i in range(self.n):
-                images = []
-                for idx in idxs:
-                    vec = [Fraction(0)] * len(self.basis)
-                    vec[idx] = Fraction(1)
-                    images.append(self.act_e(i, vec))
-                for target in range(len(self.basis)):
-                    row = [images[j][target] for j in range(len(idxs))]
-                    if any(row):
-                        mat_rows.append(row)
+                # each basis vector has one image, so build only the
+                # nonzero rows: target index -> {local column: coefficient}
+                rows: dict = {}
+                for col, idx in enumerate(idxs):
+                    image = self.e_image(i, idx)
+                    if image:
+                        target, scale = image
+                        rows.setdefault(target, {})[col] = Fraction(scale)
+                for target in sorted(rows):
+                    row = [Fraction(0)] * len(idxs)
+                    for col, value in rows[target].items():
+                        row[col] = value
+                    mat_rows.append(row)
             dim = len(kernel_basis(mat_rows, len(idxs)))
             if dim:
                 out[wgt] = dim
@@ -521,3 +527,54 @@ def _stab_char_value(stab, irrep, h):
             assert shift % f.step == 0
             value *= Fraction((-1) ** (label * (shift // f.step)))
     return value
+
+
+# ---------------------------------------------------------------------------
+# the center over the full ansatz
+
+
+def center_basis_full_ansatz(n, dmax, gamma=None):
+    """Basis of {z : [z, generators] = 0} within PBW degree dmax, solving for
+    every monomial times every group element against every e_i, f_i, h_i
+    and group generator: no structure of the center is assumed.
+
+    Unknowns are ordered by total degree, then per-factor f- and h-exponent,
+    then group element, the order the package uses, so the reduced null
+    basis is comparable vector for vector.  The products are the PBW
+    engine's; the solve is ``wreatho.linalg.nullspace``, which
+    test_linalg checks against kernel_basis (too slow at 420 unknowns).
+    """
+    alg = Algebra(n, gamma)
+    singles = [
+        (a, b, total - a - b)
+        for total in range(dmax + 1)
+        for a in range(total + 1)
+        for b in range(total - a + 1)
+    ]
+    perms = gamma.group().elements() if gamma else [tuple(range(n))]
+    basis = [
+        (factors, p)
+        for factors in itertools.product(singles, repeat=n)
+        if sum(map(sum, factors)) <= dmax
+        for p in perms
+    ]
+    gens = [alg.gen(kind, i) for i in range(n) for kind in "efh"]
+    if gamma:
+        gens += [alg.group_element(p) for p in gamma.group().generators()]
+    equations: dict = {}
+    for k, mono in enumerate(basis):
+        elem = Element(alg, {mono: Poly.const(1)})
+        for g_idx, g in enumerate(gens):
+            for out_mono, coef in commutator(elem, g).terms.items():
+                eq = equations.setdefault((out_mono, g_idx), {})
+                eq[k] = coef.constant_value()
+    rows = []
+    for eq in equations.values():
+        row = [0] * len(basis)
+        for k, value in eq.items():
+            row[k] = value
+        rows.append(row)
+    return [
+        Element(alg, {basis[k]: Poly.const(v) for k, v in enumerate(vec) if v})
+        for vec in nullspace(rows, len(basis))
+    ]

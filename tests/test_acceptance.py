@@ -9,6 +9,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     cycle_type_rep,
@@ -22,6 +24,7 @@ from wreatho.clifford import (
     concat_gammas,
     concat_simplex,
     dim_m,
+    duality_F,
 )
 from wreatho.linalg import in_row_space
 from wreatho.pbw import (
@@ -53,6 +56,7 @@ from wreatho.skew_o import (
 )
 from wreatho.symchars import char_value, irrep_dim, partitions_of
 from wreatho.weights import (
+    GammaSpec,
     kostant_p,
     orbit_of,
     parse_gamma,
@@ -133,6 +137,45 @@ def test_criterion_01_bgg_reciprocity_symmetry(random_blocks):
         assert bd.C == _matmul(_transpose(bd.D), bd.D)
         assert _symmetric(bd.C)
     print("ACCEPTANCE 1: C' = F D^T F D F symmetric on 25 random blocks ... PASS")
+
+
+_COORD = st.sampled_from([F(c) for c in (-2, -1, 0, 1, 2)] + [F(1, 2), F(-1, 3)])
+
+
+@st.composite
+def _cyclic_blocks(draw):
+    """A simple x over a GammaSpec with a C:3 or C:4 block.
+
+    The weight is constant on that block, so the rotations fix it and
+    duality moves the simples with a nontrivial rotation character: the
+    permutation sigma of block_matrices is not the identity.
+    """
+    m = draw(st.sampled_from([3, 4]))
+    blocks = [(("C", m), [draw(_COORD)] * m)]
+    extra = draw(
+        st.sampled_from([("1", 1), ("S", (1,)), ("S", (2,)), ("S", (1, 1)), ("C", 2)])
+    )
+    width = sum(extra[1]) if extra[0] == "S" else extra[1]
+    if draw(st.booleans()) and m + width <= 5:
+        blocks.append((extra, [draw(_COORD) for _ in range(width)]))
+        if draw(st.booleans()):
+            blocks.reverse()
+    gamma = GammaSpec(tuple(b for b, _ in blocks))
+    lam = tuple(c for _, coords in blocks for c in coords)
+    simples = classify_X_over(gamma, lam)
+    return gamma, simples[draw(st.integers(0, len(simples) - 1))]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_cyclic_blocks())
+def test_block_matrices_against_dense_products(case):
+    gamma, x = case
+    bd = block_matrices(gamma, x)
+    F_, D, xs = bd.F, bd.D, bd.order
+    assert F_ == [[int(y == duality_F(z)) for z in xs] for y in xs]
+    assert any(duality_F(y) != y for y in xs), "sigma must move some simple"
+    assert bd.C == _matmul(_matmul(_matmul(F_, _transpose(D)), F_), D)
+    assert bd.Cprime == _matmul(bd.C, F_)
 
 
 def test_criterion_02_worked_block_via_oracle():

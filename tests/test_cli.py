@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
+import wreatho
 from wreatho.cato_a import CharacterVB
 from wreatho.cli import main
 from wreatho.clifford import simplex_from_json
@@ -165,3 +169,19 @@ class TestSelftest:
         r = run("selftest", "--seed", "7")
         assert r.exit_code == 0, r.output
         assert "FAIL" not in r.output
+
+    def test_broken_check_fails_under_optimize(self):
+        # python -O strips assert statements; the checks must still fail
+        code = (
+            "import wreatho.selftest as st\n"
+            "st.leq = lambda a, b: False\n"
+            "print([ok for name, ok, _ in st.run_selftest(7)"
+            " if name == 'gamma preserves the order'])\n"
+        )
+        src = os.path.dirname(os.path.dirname(wreatho.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert out.stdout.strip() == "[False]"

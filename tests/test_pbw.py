@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import center_basis_full_ansatz
 from wreatho.linalg import in_row_space
 from wreatho.pbw import (
     Algebra,
@@ -317,6 +318,20 @@ class TestCenterBasis:
         vecs = [_coeff_vector(b, alg, 4, perms) for b in basis]
         for known in (alg.one(), om0 + om1, om0 * om0 + om1 * om1, om0 * om1):
             assert in_row_space(vecs, _coeff_vector(known, alg, 4, perms))
+
+    @pytest.mark.parametrize(
+        "n,dmax,spec",
+        [(1, d, None) for d in range(5)]
+        + [(2, d, spec) for d in range(5) for spec in (None, "S:2")]
+        + [(2, 4, "C:2"), (2, 4, "1:2")],
+    )
+    def test_matches_full_ansatz(self, n, dmax, spec):
+        gamma = parse_gamma(spec) if spec else None
+        got = center_basis_up_to_degree(n, dmax, gamma)
+        want = center_basis_full_ansatz(n, dmax, gamma)
+        assert [element_to_json(z) for z in got] == [
+            element_to_json(z) for z in want
+        ]
 
 
 def _coeff_vector(elem, alg, dmax, perms):
