@@ -47,6 +47,7 @@ from .skew_o import (
     s4_skew,
     simples_over_four_setups,
     verma_decompose_skew,
+    weight_dims_skew,
 )
 from .symchars import char_table, char_value, dim_irrep, induce_restrict_mult
 from .weights import (

@@ -36,6 +36,17 @@ def verma_factors_sl2(lam: Fraction) -> list[tuple[Fraction, int]]:
     return [(lam, 1)]
 
 
+def is_weight_sl2(y: Fraction, c: Fraction, simple: bool) -> bool:
+    """Is y a weight of the rank-1 simple L(c) (simple) or Verma Z(c)?
+
+    Z(c) has the weights c, c-2, c-4, ...  L(c) is the finite string
+    c, c-2, ..., -c when c is a nonnegative integer, and Z(c) otherwise.
+    """
+    if not is_even_nonneg_int(c - y):
+        return False
+    return not (simple and c.denominator == 1 and c >= 0) or y >= -c
+
+
 def verma_factors_A(lam: Weight) -> dict[Weight, int]:
     """Composition factors of the rank-n Verma: products of rank-1 series."""
     lam = as_weight(lam)

@@ -19,10 +19,9 @@ from .pbw import Algebra, cc_equal, element_to_json, parse_expr
 from .selftest import run_selftest
 from .skew_o import (
     block_matrices,
-    ch_simple_skew,
-    ch_verma_skew,
     dim_simple_skew,
     simples_over_four_setups,
+    weight_dims_skew,
 )
 from .weights import format_weight, parse_gamma, parse_weight
 
@@ -160,28 +159,21 @@ def matrices(gamma_text, weight_text, irrep_index, fmt):
 @click.option("--depth", default=12, show_default=True)
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json", "csv"]))
 def char(which, gamma_text, weight_text, irrep_index, depth, fmt):
-    """Weight-space dimensions of a simple (V) or Verma (Z) character."""
+    """Weight-space dimensions of a simple (V) or Verma (Z) character.
+
+    Lists the nonzero dimensions at the weights hw - 2k, hw a highest
+    weight of the character in the Verma basis and sum(k) <= depth.  By
+    Clifford theory and ch L_A(mu) = prod_i ch L(mu_i),
+    dim V(x)_nu = dim(irrep) * #{mu in orbit : nu_i is a weight of L(mu_i)
+    for all i}; Z(x) is the same count with the rank-1 Vermas Z(mu_i).
+    """
     if depth < 0:
         _fail("--depth must be >= 0")
     gamma, weight = _parse_inputs(gamma_text, weight_text)
     xs = classify_X_over(gamma, weight)
     if not 0 <= irrep_index < len(xs):
         _fail(f"--irrep {irrep_index} out of range (0..{len(xs) - 1})")
-    x = xs[irrep_index]
-    character = (
-        ch_simple_skew(gamma, x) if which == "V" else ch_verma_skew(gamma, x)
-    )
-    rows = []
-    seen = set()
-    for hw in character.support():
-        for combo in _down_weights(hw, depth):
-            if combo in seen:
-                continue
-            seen.add(combo)
-            d = character.evaluate(combo)
-            if d:
-                rows.append((combo, d))
-    rows.sort(key=lambda r: (-sum(r[0]), r[0]))
+    character, rows = weight_dims_skew(gamma, xs[irrep_index], which, depth)
     if fmt == "json":
         click.echo(
             json.dumps(
@@ -204,13 +196,19 @@ def char(which, gamma_text, weight_text, irrep_index, depth, fmt):
 
 
 def _down_weights(hw, depth):
+    """The weights hw - 2k with sum(k) <= depth, k running over the
+    compositions of each total in lexicographic order.
+
+    `char` no longer calls this; perfbench/tracing.py still hooks it by
+    name when it installs.
+    """
     import itertools
 
     n = len(hw)
     for total in range(depth + 1):
-        for combo in itertools.product(range(total + 1), repeat=n):
-            if sum(combo) == total:
-                yield tuple(h - 2 * k for h, k in zip(hw, combo))
+        for bars in itertools.combinations(range(total + n - 1), n - 1):
+            ends = (-1,) + bars + (total + n - 1,)
+            yield tuple(h - 2 * (b - a - 1) for h, a, b in zip(hw, ends, ends[1:]))
 
 
 @main.command()

@@ -734,24 +734,35 @@ class ExprParser:
             base = base ** int(val)
         return base
 
+    def _factor(self, what: str, i: int) -> int:
+        """The 0-based index of the factor written as i (1-based)."""
+        if not 1 <= i <= self.alg.n:
+            raise ValueError(f"{what} out of range (1..{self.alg.n})")
+        return i - 1
+
     def atom(self) -> Element:
         kind, val = self.next()
         if kind == "gen":
-            idx = int(val[1:]) - 1
-            return self.alg.gen(val[0], idx)
+            i = self._factor(f"generator {val}", int(val[1:]))
+            return self.alg.gen(val[0], i)
         if kind == "num":
             return self.alg.scalar(Fraction(val))
         if kind == "param":
             return self.alg.scalar(Poly.var(val))
         if kind == "swap":
-            i, j = (int(x) for x in val[2:-1].split(","))
-            return self.alg.transposition(i - 1, j - 1)
+            i, j = (
+                self._factor(f"transposition {val}", int(x))
+                for x in val[2:-1].split(",")
+            )
+            return self.alg.transposition(i, j)
         if kind == "cyc":
-            lo, hi = (int(x) for x in val[4:-1].split(".."))
+            lo, hi = (
+                self._factor(f"cycle {val}", int(x)) for x in val[4:-1].split("..")
+            )
             perm = list(range(self.alg.n))
-            for k in range(lo - 1, hi - 1):
+            for k in range(lo, hi):
                 perm[k] = k + 1
-            perm[hi - 1] = lo - 1
+            perm[hi] = lo
             return self.alg.group_element(tuple(perm))
         if val == "(":
             inner = self.expr()

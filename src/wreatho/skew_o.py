@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cato_a import CharacterVB, ch_simple_A, length_Z_A, s_sets_A
+from .cato_a import CharacterVB, ch_simple_A, is_weight_sl2, length_Z_A, s_sets_A
 from .clifford import (
     CObject,
     SimpleX,
@@ -31,7 +31,6 @@ from .clifford import (
     orbit_size,
     transport_irrep,
     validate_simplex,
-    weight_mult,
 )
 from .symchars import irrep_dim, list_irreps, restricted_inner_product
 from .weights import (
@@ -372,20 +371,84 @@ def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
 
 def ch_verma_skew(gamma: GammaSpec, x: SimpleX) -> CharacterVB:
     """ch Z(x): plain Verma characters over the orbit, dim(irrep) each."""
-    out = CharacterVB(gamma.n)
     mult = irrep_dim(x.stab, x.irrep)
-    for mu in orbit_of(gamma, x.orbit_rep):
-        out = out + CharacterVB(gamma.n, {mu: mult})
-    return out
+    return CharacterVB(gamma.n, {mu: mult for mu in orbit_of(gamma, x.orbit_rep)})
 
 
 def ch_simple_skew(gamma: GammaSpec, x: SimpleX) -> CharacterVB:
-    """ch V(x) = sum over the orbit of weight multiplicities times simple
-    characters of the plain algebra."""
-    out = CharacterVB(gamma.n)
+    """ch V(x) = dim(irrep) * sum over the orbit of the simple characters
+    of the plain algebra (every orbit point has weight multiplicity
+    dim(irrep))."""
+    mult = irrep_dim(x.stab, x.irrep)
+    terms: dict[Weight, int] = {}
     for mu in orbit_of(gamma, x.orbit_rep):
-        out = out + ch_simple_A(mu).scale(weight_mult(gamma, x, mu))
-    return out
+        for hw, coef in ch_simple_A(mu).terms.items():
+            terms[hw] = terms.get(hw, 0) + mult * coef
+    return CharacterVB(gamma.n, terms)
+
+
+def weight_dims_skew(gamma: GammaSpec, x: SimpleX, module: str, depth: int):
+    """The character of V(x) (module "V") or Z(x) ("Z") and its nonzero
+    weight spaces among the weights hw - 2k, hw in the character's Verma
+    support, k >= 0 with sum(k) <= depth.
+
+    The plain simple factorizes, ch L_A(mu) = prod_i ch L(mu_i), so
+    dim V(x)_nu = dim(irrep) * #{mu in orbit : each nu_i is a weight of
+    L(mu_i)}, and likewise for Z(x) with the rank-1 Vermas.  Per
+    coordinate, each candidate value maps to the bitmask of the orbit
+    points whose rank-1 factor has it as a weight; a weight's count is the
+    popcount of the AND of its masks, and a zero prefix prunes the
+    descent.  Returns (character, rows), rows [(nu, dim)] sorted by
+    descending coordinate sum, then nu.
+    """
+    if module not in ("V", "Z"):
+        raise ValueError(f"module must be V or Z, not {module!r}")
+    simple = module == "V"
+    character = ch_simple_skew(gamma, x) if simple else ch_verma_skew(gamma, x)
+    orbit = orbit_of(gamma, x.orbit_rep)
+    support = character.support()
+    n = gamma.n
+    values, masks, steps = [], [], []
+    for i in range(n):
+        tops = {hw[i] for hw in support}
+        vals = sorted({c - 2 * k for c in tops for k in range(depth + 1)})
+        index = {v: t for t, v in enumerate(vals)}
+        orbit_bits: dict[Fraction, int] = {}
+        for j, mu in enumerate(orbit):
+            orbit_bits[mu[i]] = orbit_bits.get(mu[i], 0) | 1 << j
+        table = []
+        for v in vals:
+            mask = 0
+            for c, bits in orbit_bits.items():
+                if is_weight_sl2(v, c, simple):
+                    mask |= bits
+            table.append(mask)
+        values.append(vals)
+        masks.append(table)
+        steps.append({c: [index[c - 2 * k] for k in range(depth + 1)] for c in tops})
+
+    found: dict[tuple, int] = {}
+
+    def descend(hw, i, left, mask, key):
+        if not mask:
+            return
+        if i == n:
+            found[key] = mask
+            return
+        table = masks[i]
+        for k, t in enumerate(steps[i][hw[i]][: left + 1]):
+            descend(hw, i + 1, left - k, mask & table[t], key + (t,))
+
+    everyone = (1 << len(orbit)) - 1
+    for hw in support:
+        descend(hw, 0, depth, everyone, ())
+    mult = irrep_dim(x.stab, x.irrep)
+    rows = [
+        (tuple(values[i][t] for i, t in enumerate(key)), mult * mask.bit_count())
+        for key, mask in found.items()
+    ]
+    rows.sort(key=lambda r: (-sum(r[0]), r[0]))
+    return character, rows
 
 
 def dim_simple_skew(gamma: GammaSpec, x: SimpleX):

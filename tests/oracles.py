@@ -4,9 +4,11 @@ These deliberately avoid the package's computational paths: characters come
 from explicit Specht-module traces, Verma structure from truncated modules
 with explicit generator matrices, and Kostant counts from bounded
 enumeration.  Only plain rational linear algebra is shared forensically
-(reimplemented here).  The exception is the center over the full ansatz,
-which checks the choice of unknowns, not the arithmetic: it multiplies with
-the PBW engine and solves with wreatho.linalg."""
+(reimplemented here).  Two exceptions check a choice, not the arithmetic:
+the center over the full ansatz checks the choice of unknowns (it
+multiplies with the PBW engine and solves with wreatho.linalg), and the
+Verma-sum weight dimensions check the factorized count and its candidate
+weights (they evaluate the package's CharacterVB)."""
 
 from __future__ import annotations
 
@@ -578,3 +580,35 @@ def center_basis_full_ansatz(n, dmax, gamma=None):
         Element(alg, {basis[k]: Poly.const(v) for k, v in enumerate(vec) if v})
         for vec in nullspace(rows, len(basis))
     ]
+
+
+# ---------------------------------------------------------------------------
+# weight-space dimensions by Verma sums
+
+
+def down_weights_by_filtering(hw, depth):
+    """The weights hw - 2k with sum(k) <= depth: every k in the
+    (total+1)^n box kept when it sums to total."""
+    n = len(hw)
+    for total in range(depth + 1):
+        for combo in itertools.product(range(total + 1), repeat=n):
+            if sum(combo) == total:
+                yield tuple(h - 2 * k for h, k in zip(hw, combo))
+
+
+def char_rows_by_evaluation(character, depth):
+    """The nonzero weight spaces of a character in the Verma basis among
+    the weights down_weights_by_filtering(hw, depth), hw in its support:
+    CharacterVB.evaluate on each, sorted as ``wreatho char`` prints them."""
+    rows = []
+    seen = set()
+    for hw in character.support():
+        for nu in down_weights_by_filtering(hw, depth):
+            if nu in seen:
+                continue
+            seen.add(nu)
+            d = character.evaluate(nu)
+            if d:
+                rows.append((nu, d))
+    rows.sort(key=lambda r: (-sum(r[0]), r[0]))
+    return rows

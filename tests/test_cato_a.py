@@ -8,6 +8,7 @@ from wreatho.cato_a import (
     ch_simple_A,
     ch_verma,
     dim_simple_A,
+    is_weight_sl2,
     length_Z_A,
     s_sets_A,
     verma_factors_A,
@@ -131,6 +132,13 @@ class TestCharacters:
         assert ch_verma(w(3)).evaluate(w(-3)) == 1
         assert ch_verma(w(3)).evaluate(w(2)) == 0
         assert ch_verma(w(3)).evaluate(w(5)) == 0
+
+    def test_rank_one_weights_match_verma_sums(self):
+        tops = [F(k) for k in range(-4, 5)] + [F(k, 2) for k in range(-5, 6, 2)]
+        for c in tops:
+            for y in (c - k for k in range(-2, 14)):
+                assert is_weight_sl2(y, c, True) == (ch_simple_A((c,)).evaluate((y,)) == 1)
+                assert is_weight_sl2(y, c, False) == (ch_verma((c,)).evaluate((y,)) == 1)
 
     def test_character_consistency_to_depth_12(self):
         # ch Z(lam) = sum over factors of ch V, weight-wise

@@ -1,13 +1,16 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 
 from click.testing import CliRunner
 
-import wreatho
+from oracles import down_weights_by_filtering
+import wreatho.cli
 from wreatho.cato_a import CharacterVB
-from wreatho.cli import main
+from wreatho.cli import _down_weights, main
 from wreatho.clifford import simplex_from_json
 from wreatho.pbw import Algebra, element_from_json, parse_expr
 from wreatho.skew_o import block_matrices
@@ -124,6 +127,31 @@ class TestChar:
         assert ch.to_json() == data["character"]
 
 
+    def test_down_weights_match_filtered_products(self):
+        for hw in ([F(1)], [F(0), F(-1, 2)], [F(3), F(0), F(-2)], [F(1)] * 4):
+            for depth in range(5):
+                assert list(_down_weights(hw, depth)) == list(
+                    down_weights_by_filtering(hw, depth)
+                )
+
+
+class TestTracerHooks:
+    def test_every_hooked_name_resolves(self):
+        # perfbench/tracing.py wraps these attributes when --trace 1
+        # installs; a rename in the program must fail here first
+        path = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "perfbench", "tracing.py",
+        )
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        pairs = [pair for pairs in tracing.LAYERS.values() for pair in pairs]
+        pairs.append((wreatho.cli, "_down_weights"))
+        for owner, name in pairs:
+            assert callable(owner.__dict__[name]), (owner, name)
+
+
 class TestCC:
     def test_equal(self):
         r = run("cc", "--gamma", "S:2", "--weight", "3,0", "--mu", "-2,-5")
@@ -153,6 +181,26 @@ class TestPbw:
         r = run("pbw", "--n", "1", "--expr", "e1 + @")
         assert r.exit_code == 1
         assert "position" in json.loads(r.stderr)["error"]
+
+    def test_generator_zero_named_as_typed(self):
+        r = run("pbw", "--n", "1", "--expr", "e0")
+        assert r.exit_code == 1
+        assert json.loads(r.stderr)["error"] == "generator e0 out of range (1..1)"
+
+    def test_generator_above_rank_named_as_typed(self):
+        r = run("pbw", "--n", "1", "--expr", "e5")
+        assert r.exit_code == 1
+        assert json.loads(r.stderr)["error"] == "generator e5 out of range (1..1)"
+
+    def test_group_atoms_out_of_range(self):
+        for expr, message in (
+            ("s(0,1)", "transposition s(0,1) out of range (1..2)"),
+            ("s(1,5)", "transposition s(1,5) out of range (1..2)"),
+            ("cyc(1..5)", "cycle cyc(1..5) out of range (1..2)"),
+        ):
+            r = run("pbw", "--n", "2", "--expr", expr)
+            assert r.exit_code == 1
+            assert json.loads(r.stderr)["error"] == message
 
 
 class TestAppendix:

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction as F
 
-from oracles import oracle_decompose
-from wreatho.cato_a import CharacterVB, length_Z_A
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import char_rows_by_evaluation, oracle_decompose
+from wreatho.cato_a import CharacterVB, ch_simple_A, length_Z_A
 from wreatho.clifford import (
     classify_X_over,
     dim_m,
@@ -21,9 +25,10 @@ from wreatho.skew_o import (
     s4_skew,
     simples_over_four_setups,
     verma_decompose_skew,
+    weight_dims_skew,
 )
 from wreatho.symchars import irrep_dim
-from wreatho.weights import orbit_of, parse_gamma
+from wreatho.weights import GammaSpec, orbit_of, parse_gamma
 
 
 def w(*coords):
@@ -437,6 +442,85 @@ class TestCharactersAndDims:
                 for y, mult in verma_decompose_skew(gamma, x).terms.items():
                     rhs = rhs + ch_simple_skew(gamma, y).scale(mult)
                 assert lhs == rhs
+
+
+# specs of rank <= 4 mixing S:, C: and 1: blocks
+_CHAR_BLOCKS = [
+    ("S", (1,)), ("S", (2,)), ("S", (3,)), ("S", (4,)), ("S", (1, 2)), ("S", (2, 2)),
+    ("C", 2), ("C", 3), ("C", 4), ("1", 1), ("1", 2),
+]
+_CHAR_COORD = st.one_of(
+    st.integers(0, 3).map(F),
+    st.sampled_from([F(-1), F(-2)]),
+    st.integers(-5, -3).map(F),
+    st.integers(-4, 3).map(lambda k: F(2 * k + 1, 2)),
+)
+
+
+def _block_width(block):
+    kind, data = block
+    return sum(data) if kind == "S" else data
+
+
+@st.composite
+def _gamma_specs(draw, max_rank=4):
+    blocks = []
+    width = 0
+    while not blocks or (width < max_rank and draw(st.booleans())):
+        fits = [b for b in _CHAR_BLOCKS if _block_width(b) <= max_rank - width]
+        block = draw(st.sampled_from(fits))
+        blocks.append(block)
+        width += _block_width(block)
+    return GammaSpec(tuple(blocks))
+
+
+@st.composite
+def _char_cases(draw):
+    gamma = draw(_gamma_specs())
+    # a small pool of values, so coordinates repeat and stabilizers have
+    # several irreps
+    pool = draw(st.lists(_CHAR_COORD, min_size=1, max_size=3))
+    lam = tuple(draw(st.sampled_from(pool)) for _ in range(gamma.n))
+    simples = classify_X_over(gamma, lam)
+    x = simples[draw(st.integers(0, len(simples) - 1))]
+    return gamma, x, draw(st.sampled_from(["V", "Z"])), draw(st.integers(0, 4))
+
+
+@st.composite
+def _finite_cases(draw):
+    gamma = draw(_gamma_specs(max_rank=3))
+    lam = tuple(F(draw(st.integers(0, 2))) for _ in range(gamma.n))
+    simples = classify_X_over(gamma, lam)
+    x = simples[draw(st.integers(0, len(simples) - 1))]
+    return gamma, x, int(sum(lam)) + draw(st.integers(0, 1))
+
+
+class TestWeightDims:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_char_cases())
+    def test_matches_verma_sums(self, case):
+        gamma, x, module, depth = case
+        character, rows = weight_dims_skew(gamma, x, module, depth)
+        mult = irrep_dim(x.stab, x.irrep)
+        orbit_sum = CharacterVB(gamma.n)
+        for mu in orbit_of(gamma, x.orbit_rep):
+            term = ch_simple_A(mu) if module == "V" else CharacterVB(gamma.n, {mu: 1})
+            orbit_sum = orbit_sum + term.scale(mult)
+        assert character == orbit_sum
+        assert rows == char_rows_by_evaluation(character, depth)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_finite_cases())
+    def test_finite_simple_sums_to_its_dimension(self, case):
+        gamma, x, depth = case
+        character, rows = weight_dims_skew(gamma, x, "V", depth)
+        assert rows == char_rows_by_evaluation(character, depth)
+        assert sum(d for _, d in rows) == dim_simple_skew(gamma, x)
+
+    def test_unknown_module(self):
+        x = classify_X_over(S2, w(1, 0))[0]
+        with pytest.raises(ValueError):
+            weight_dims_skew(S2, x, "M", 1)
 
 
 class TestFourSetups:
