@@ -22,6 +22,7 @@ from .weights import (
     SymF,
     Weight,
     canonical_orbit_rep,
+    gamma_cells,
     group_desc,
     is_subgroup,
     stabilizer,
@@ -121,26 +122,10 @@ def transport_irrep(
 
 def _factor_key(gamma: GammaSpec, weight: Weight, f) -> tuple:
     """Conjugation-invariant identity of a stabilizer factor."""
-    span = _enclosing_span(gamma, f.positions[0])
+    cell = next(span for _, span in gamma_cells(gamma) if f.positions[0] in span)
     if isinstance(f, SymF):
-        return ("S", span, weight[f.positions[0]], len(f.positions))
-    return ("C", span, f.order)
-
-
-def _enclosing_span(gamma: GammaSpec, position: int) -> tuple:
-    pos = 0
-    for kind, data in gamma.blocks:
-        if kind == "S":
-            for size in data:
-                if pos <= position < pos + size:
-                    return (pos, pos + size)
-                pos += size
-        else:
-            width = data
-            if pos <= position < pos + width:
-                return (pos, pos + width)
-            pos += width
-    raise ValueError(f"position {position} outside spec")
+        return ("S", cell, weight[f.positions[0]], len(f.positions))
+    return ("C", cell, f.order)
 
 
 class CObject:

@@ -23,12 +23,15 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
+from .cato_a import s_sets_A
 from .poly import ONE, Poly
 from .weights import (
     GammaSpec,
     InternalConsistencyError,
     Perm,
     Weight,
+    canonical_orbit_rep,
+    gamma_cells,
     perm_act,
     perm_compose,
     perm_inverse,
@@ -375,16 +378,15 @@ def central_character(
     alg = r.algebra
     if alg.n != len(lam):
         raise ValueError("rank mismatch")
-    numeric_lam = all(isinstance(c, Fraction) or isinstance(c, int) for c in lam)
+    numeric_lam = None
+    if all(isinstance(c, (Fraction, int)) for c in lam):
+        numeric_lam = tuple(Fraction(c) for c in lam)
     out: dict[Perm, object] = {}
     xi = hc_projection(r)
     for (factors, perm), coef in xi.terms.items():
-        if numeric_lam and perm_act(perm, tuple(Fraction(c) for c in lam)) != tuple(
-            Fraction(c) for c in lam
-        ):
+        if numeric_lam is not None and perm_act(perm, numeric_lam) != numeric_lam:
             continue
-        value = _eval_h_monomial(lam, factors)
-        term = coef * value if isinstance(value, Poly) else coef * value
+        term = coef * _eval_h_monomial(lam, factors)
         prev = out.get(perm)
         out[perm] = term if prev is None else prev + term
     cleaned = {}
@@ -436,18 +438,12 @@ def _separating_invariants(gamma: GammaSpec, t: Weight) -> tuple:
     which generate the invariant ring and hence separate orbits.
     """
     out = []
-    pos = 0
-    for kind, data in gamma.blocks:
+    for kind, span in gamma_cells(gamma):
+        vals = t[span.start : span.stop]
+        m = len(vals)
         if kind == "S":
-            for size in data:
-                vals = t[pos : pos + size]
-                out.append(
-                    tuple(sum(v**k for v in vals) for k in range(1, size + 1))
-                )
-                pos += size
+            out.append(tuple(sum(v**k for v in vals) for k in range(1, m + 1)))
         elif kind == "C":
-            m = data
-            vals = t[pos : pos + m]
             sums = []
             for total in range(1, m + 1):
                 for expo in itertools.combinations_with_replacement(range(m), total):
@@ -462,11 +458,8 @@ def _separating_invariants(gamma: GammaSpec, t: Weight) -> tuple:
                         s += term
                     sums.append(s)
             out.append(tuple(sums))
-            pos += m
         else:
-            for i in range(pos, pos + data):
-                out.append((t[i],))
-            pos += data
+            out.extend((v,) for v in vals)
     return tuple(out)
 
 
@@ -481,14 +474,8 @@ def cc_equal(gamma: GammaSpec, lam: Weight, mu: Weight) -> dict:
         raise ValueError("rank mismatch")
     lam = tuple(Fraction(c) for c in lam)
     mu = tuple(Fraction(c) for c in mu)
-    from .cato_a import s_sets_A
-    from .weights import canonical_orbit_rep
-
-    dot_orbit = s_sets_A(lam, 4)
-    orbit_test = any(
-        canonical_orbit_rep(gamma, w) == canonical_orbit_rep(gamma, mu)
-        for w in dot_orbit
-    )
+    mu_rep = canonical_orbit_rep(gamma, mu)
+    orbit_test = any(canonical_orbit_rep(gamma, w) == mu_rep for w in s_sets_A(lam, 4))
     t_lam = tuple(_t_value(c) for c in lam)
     t_mu = tuple(_t_value(c) for c in mu)
     invariant_test = _separating_invariants(gamma, t_lam) == _separating_invariants(

@@ -6,6 +6,7 @@ modules, brute-force traces) live in the test suite instead.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -135,7 +136,8 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
     def char_orthogonality():
         for n in range(2, 6):
             char_table(n).validate()
-            _require(sum(dim_irrep(p) ** 2 for p in partitions_of(n)) == _fact(n))
+            squares = sum(dim_irrep(p) ** 2 for p in partitions_of(n))
+            _require(squares == math.factorial(n))
 
     def duality_involution():
         for _ in range(25):
@@ -239,10 +241,3 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
     check("anti-involution properties", involution_props)
     check("central characters multiplicative and dual-tested", central_char_props)
     return results
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cato_a import CharacterVB, ch_simple_A, is_weight_sl2, length_Z_A, s_sets_A
+from .cato_a import (
+    CharacterVB,
+    ch_simple_A,
+    dim_simple_A,
+    is_weight_sl2,
+    length_Z_A,
+    s_sets_A,
+)
 from .clifford import (
     CObject,
     SimpleX,
@@ -36,15 +43,11 @@ from .symchars import irrep_dim, list_irreps, restricted_inner_product
 from .weights import (
     CycF,
     GammaSpec,
-    GroupDesc,
     InternalConsistencyError,
-    SymF,
     Weight,
     canonical_orbit_rep,
     flip_subset,
-    group_desc,
     integral_flip_positions,
-    is_dominant_integral,
     leq,
     orbit_of,
     stabilizer,
@@ -91,90 +94,31 @@ def _block_sort_key(gamma: GammaSpec):
 # flip layers and Verma decomposition
 
 
-def _flip_layer_choices(gamma: GammaSpec, lam: Weight, stab: GroupDesc):
-    """Orbit representatives of subsets T of I(lam) under the stabilizer.
+def _flip_layer_choices(gamma: GammaSpec, lam: Weight):
+    """Stab(lam)-orbit representatives T of subsets of I(lam), with stab_T.
 
-    Yields (T, stab_T) with T a canonical representative and stab_T the
-    stabilizer of T inside `stab`, again structural.  Positions of I(lam)
-    not moved by `stab` contribute free binary choices.
+    Each T is encoded as a marked weight: coordinate i gets 2 * rank(lam_i)
+    among the distinct values of lam, plus 1 when i is in T.  An element of
+    Gamma that maps one marked weight to another preserves the ranks, so it
+    fixes lam and maps T to T'.  Hence the canonical orbit representative
+    of the marked weight names the Stab(lam)-orbit of T, and the stabilizer
+    of the marked weight is stab_T = {g in Stab(lam) : g(T) = T}, again
+    structural.  Yields (T, stab_T), the first T of each orbit.
     """
-    flips = set(integral_flip_positions(lam))
-    covered = set()
-    per_factor = []
-    for f in stab.factors:
-        pos = list(f.positions)
-        covered.update(pos)
-        if isinstance(f, SymF):
-            in_i = flips.issuperset(pos)
-            choices = []
-            if in_i:
-                size = len(pos)
-                for t in range(size + 1):
-                    chosen = tuple(pos[:t])
-                    subfactors = []
-                    if t >= 2:
-                        subfactors.append(SymF(tuple(pos[:t])))
-                    if size - t >= 2:
-                        subfactors.append(SymF(tuple(pos[t:])))
-                    choices.append((chosen, subfactors))
-            else:
-                choices = [((), [SymF(tuple(pos))])]
-            per_factor.append(choices)
-        else:
-            block_flips = [p for p in pos if p in flips]
-            choices = []
-            seen = set()
-            for mask in itertools.product((0, 1), repeat=len(block_flips)):
-                subset = frozenset(
-                    p for p, bit in zip(block_flips, mask) if bit
-                )
-                canon = _canonical_cyclic_subset(f, subset)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                stab_order = _cyclic_subset_stab_order(f, subset)
-                sub = [CycF(f.positions, stab_order)] if stab_order >= 2 else []
-                choices.append((tuple(sorted(subset)), sub))
-            per_factor.append(choices)
-    free = sorted(flips - covered)
-    free_choices = [
-        (tuple(chosen), [])
-        for r in range(len(free) + 1)
-        for chosen in itertools.combinations(free, r)
-    ]
-    per_factor.append(free_choices)
-    for combo in itertools.product(*per_factor):
-        t_set = set()
-        factors = []
-        for chosen, subfactors in combo:
-            t_set.update(chosen)
-            factors.extend(subfactors)
-        yield frozenset(t_set), group_desc(gamma.n, factors)
-
-
-def _canonical_cyclic_subset(f: CycF, subset: frozenset) -> tuple:
-    m = len(f.positions)
-    index = {p: t for t, p in enumerate(f.positions)}
-    marks = frozenset(index[p] for p in subset)
-    best = None
-    for r in range(f.order):
-        shift = r * f.step
-        image = tuple(sorted((t + shift) % m for t in marks))
-        if best is None or image < best:
-            best = image
-    return best
-
-
-def _cyclic_subset_stab_order(f: CycF, subset: frozenset) -> int:
-    m = len(f.positions)
-    index = {p: t for t, p in enumerate(f.positions)}
-    marks = frozenset(index[p] for p in subset)
-    count = 0
-    for r in range(f.order):
-        shift = r * f.step
-        if frozenset((t + shift) % m for t in marks) == marks:
-            count += 1
-    return count
+    rank = {c: r for r, c in enumerate(sorted(set(lam)))}
+    base = [2 * rank[c] for c in lam]
+    flips = integral_flip_positions(lam)
+    seen = set()
+    for size in range(len(flips) + 1):
+        for t_set in itertools.combinations(flips, size):
+            marked = list(base)
+            for i in t_set:
+                marked[i] += 1
+            marked = tuple(marked)
+            key = canonical_orbit_rep(gamma, marked)
+            if key not in seen:
+                seen.add(key)
+                yield frozenset(t_set), stabilizer(gamma, marked)
 
 
 def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> CObject:
@@ -192,7 +136,7 @@ def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
     validate_simplex(gamma, x)
     lam = x.orbit_rep
     out = CObject()
-    for t_set, stab_t in _flip_layer_choices(gamma, lam, x.stab):
+    for t_set, stab_t in _flip_layer_choices(gamma, lam):
         nu = flip_subset(lam, t_set)
         stab_nu = stabilizer(gamma, nu)
         for n_prime in list_irreps(stab_nu):
@@ -453,12 +397,8 @@ def weight_dims_skew(gamma: GammaSpec, x: SimpleX, module: str, depth: int):
 
 def dim_simple_skew(gamma: GammaSpec, x: SimpleX):
     """dimM(x) * prod(lam_i + 1) on dominant integral orbits, else None."""
-    if not is_dominant_integral(x.orbit_rep):
-        return None
-    d = dim_m(gamma, x)
-    for c in x.orbit_rep:
-        d *= int(c) + 1
-    return d
+    d = dim_simple_A(x.orbit_rep)
+    return None if d is None else dim_m(gamma, x) * d
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,17 @@ of weights, and stabilizers of flip-subsets inside them, stay within the
 same class: products of symmetric groups on position sets and rotation
 subgroups of cyclic blocks.  That closure property is what GroupDesc below
 encodes.
+
+gamma_cells walks Gamma's layout once: one cell per Young factor, cyclic
+block and trivial block.  The group, canonical orbit representatives and
+stabilizers are all read off those cells, and other modules use the cells
+instead of walking the blocks themselves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,8 +187,6 @@ class SymF:
 
     @property
     def order(self) -> int:
-        import math
-
         return math.factorial(len(self.positions))
 
     def elements(self) -> list[dict]:
@@ -345,21 +349,14 @@ class GammaSpec:
         return total
 
     def group(self) -> GroupDesc:
-        factors = []
-        pos = 0
-        for kind, data in self.blocks:
-            if kind == "S":
-                for size in data:
-                    if size >= 2:
-                        factors.append(SymF(tuple(range(pos, pos + size))))
-                    pos += size
-            elif kind == "C":
-                if data >= 2:
-                    factors.append(CycF(tuple(range(pos, pos + data)), data))
-                pos += data
-            else:  # trivial block
-                pos += data
-        return group_desc(self.n, factors)
+        return group_desc(
+            self.n,
+            (
+                SymF(tuple(span)) if kind == "S" else CycF(tuple(span), len(span))
+                for kind, span in gamma_cells(self)
+                if kind != "1"
+            ),
+        )
 
     def block_spans(self) -> list[tuple[int, int]]:
         """Half-open coordinate spans, one per block."""
@@ -407,29 +404,44 @@ def parse_gamma(text: str) -> GammaSpec:
     return GammaSpec(tuple(blocks))
 
 
+@lru_cache(maxsize=None)
+def gamma_cells(gamma: GammaSpec) -> tuple:
+    """Gamma's cells in coordinate order, as (kind, range of positions).
+
+    ("S", span) for each Young factor, ("C", span) for each cyclic block and
+    ("1", span) for each trivial block.  Gamma is the product of the full
+    symmetric groups on the S cells and the rotation groups of the C cells.
+    """
+    cells = []
+    pos = 0
+    for kind, data in gamma.blocks:
+        for width in data if kind == "S" else (data,):
+            cells.append((kind, range(pos, pos + width)))
+            pos += width
+    return tuple(cells)
+
+
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 
 
 def _min_rotation(values: tuple) -> tuple:
-    m = len(values)
-    return min(tuple(values[(t + r) % m] for t in range(m)) for r in range(m))
+    return min(values[r:] + values[:r] for r in range(len(values)))
 
 
 def canonical_orbit_rep(gamma: GammaSpec, lam: Weight) -> Weight:
-    """Lexicographically minimal element of the Gamma-orbit of lam."""
+    """Lexicographically minimal element of the Gamma-orbit of lam.
+
+    Coordinates need only be hashable and totally ordered, so integer tuples
+    (such as the marked weights of skew_o) work as well as Fractions.
+    """
     out = list(lam)
-    pos = 0
-    for kind, data in gamma.blocks:
+    for kind, span in gamma_cells(gamma):
+        cell = slice(span.start, span.stop)
         if kind == "S":
-            for size in data:
-                out[pos : pos + size] = sorted(out[pos : pos + size])
-                pos += size
+            out[cell] = sorted(out[cell])
         elif kind == "C":
-            out[pos : pos + data] = _min_rotation(tuple(out[pos : pos + data]))
-            pos += data
-        else:
-            pos += data
+            out[cell] = _min_rotation(tuple(out[cell]))
     return tuple(out)
 
 
@@ -455,31 +467,21 @@ def stabilizer(gamma: GammaSpec, lam: Weight) -> GroupDesc:
 
     Young factors split into symmetric groups on equal-value position sets;
     cyclic blocks contribute the rotation subgroup fixing the value necklace.
+    Coordinates need only be hashable and totally ordered.
     """
     if len(lam) != gamma.n:
         raise ValueError("rank mismatch")
     factors = []
-    pos = 0
-    for kind, data in gamma.blocks:
+    for kind, span in gamma_cells(gamma):
         if kind == "S":
-            for size in data:
-                span = range(pos, pos + size)
-                by_value: dict = {}
-                for i in span:
-                    by_value.setdefault(lam[i], []).append(i)
-                for value_class in by_value.values():
-                    if len(value_class) >= 2:
-                        factors.append(SymF(tuple(value_class)))
-                pos += size
+            by_value: dict = {}
+            for i in span:
+                by_value.setdefault(lam[i], []).append(i)
+            factors.extend(SymF(tuple(c)) for c in by_value.values() if len(c) >= 2)
         elif kind == "C":
-            block = tuple(range(pos, pos + data))
-            values = tuple(lam[i] for i in block)
-            d = _necklace_symmetry_order(values)
+            d = _necklace_symmetry_order(tuple(lam[span.start : span.stop]))
             if d >= 2:
-                factors.append(CycF(block, d))
-            pos += data
-        else:
-            pos += data
+                factors.append(CycF(tuple(span), d))
     return group_desc(gamma.n, factors)
 
 

@@ -166,7 +166,7 @@ def _cyclic_blocks(draw):
     return gamma, simples[draw(st.integers(0, len(simples) - 1))]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(_cyclic_blocks())
 def test_block_matrices_against_dense_products(case):
     gamma, x = case

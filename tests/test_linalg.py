@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import kernel_basis, solve_in_span
 from wreatho.linalg import in_row_space, nullspace, rank, rref
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=150)
 
 # mostly zeros, as in the commutation systems; zeros come as int or Fraction
 _entry = st.sampled_from(

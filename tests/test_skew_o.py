@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamma_strategies import gamma_specs, pooled_weights
 from oracles import char_rows_by_evaluation, oracle_decompose
 from wreatho.cato_a import CharacterVB, ch_simple_A, length_Z_A
 from wreatho.clifford import (
@@ -14,6 +15,7 @@ from wreatho.clifford import (
     simplex_from_json,
 )
 from wreatho.skew_o import (
+    _flip_layer_choices,
     block_matrices,
     ch_simple_skew,
     ch_verma_skew,
@@ -28,7 +30,13 @@ from wreatho.skew_o import (
     weight_dims_skew,
 )
 from wreatho.symchars import irrep_dim
-from wreatho.weights import GammaSpec, orbit_of, parse_gamma
+from wreatho.weights import (
+    integral_flip_positions,
+    orbit_of,
+    parse_gamma,
+    parse_weight,
+    perm_act,
+)
 
 
 def w(*coords):
@@ -245,6 +253,44 @@ class TestVermaDecompose:
                     assert partial_order_X(gamma, y, x) != "greater"
 
 
+def _check_flip_layers(gamma, lam):
+    """Brute force over Gamma's elements: each stab_T is the stabilizer of T
+    in Stab(lam), the yielded T lie in distinct Stab(lam)-orbits, and the
+    orbit sizes add up to the 2^|I(lam)| subsets of I(lam)."""
+    stab = [g for g in gamma.group().elements() if perm_act(g, lam) == lam]
+    flips = integral_flip_positions(lam)
+    seen = set()
+    total = 0
+    for t_set, stab_t in _flip_layer_choices(gamma, lam):
+        assert t_set <= set(flips)
+        fixing_t = [g for g in stab if frozenset(g[i] for i in t_set) == t_set]
+        assert sorted(stab_t.elements()) == sorted(fixing_t)
+        orbit = {frozenset(g[i] for i in t_set) for g in stab}
+        assert not orbit & seen, (t_set, seen)
+        seen |= orbit
+        total += len(stab) // stab_t.order
+    assert total == 2 ** len(flips)
+
+
+@st.composite
+def _flip_cases(draw):
+    gamma = draw(gamma_specs())
+    return gamma, draw(pooled_weights(gamma))
+
+
+class TestFlipLayers:
+    @pytest.mark.parametrize(
+        "spec, weight", [("C:3", "0,0,3"), ("C:4", "1,1,1,1"), ("S:2,2", "0,0,0,0")]
+    )
+    def test_examples(self, spec, weight):
+        _check_flip_layers(parse_gamma(spec), parse_weight(weight))
+
+    @settings(max_examples=150)
+    @given(_flip_cases())
+    def test_against_brute_force(self, case):
+        _check_flip_layers(*case)
+
+
 class TestLinkageSets:
     def test_five_element_set(self):
         xs = classify_X_over(S2, w(0, 0))
@@ -444,43 +490,10 @@ class TestCharactersAndDims:
                 assert lhs == rhs
 
 
-# specs of rank <= 4 mixing S:, C: and 1: blocks
-_CHAR_BLOCKS = [
-    ("S", (1,)), ("S", (2,)), ("S", (3,)), ("S", (4,)), ("S", (1, 2)), ("S", (2, 2)),
-    ("C", 2), ("C", 3), ("C", 4), ("1", 1), ("1", 2),
-]
-_CHAR_COORD = st.one_of(
-    st.integers(0, 3).map(F),
-    st.sampled_from([F(-1), F(-2)]),
-    st.integers(-5, -3).map(F),
-    st.integers(-4, 3).map(lambda k: F(2 * k + 1, 2)),
-)
-
-
-def _block_width(block):
-    kind, data = block
-    return sum(data) if kind == "S" else data
-
-
-@st.composite
-def _gamma_specs(draw, max_rank=4):
-    blocks = []
-    width = 0
-    while not blocks or (width < max_rank and draw(st.booleans())):
-        fits = [b for b in _CHAR_BLOCKS if _block_width(b) <= max_rank - width]
-        block = draw(st.sampled_from(fits))
-        blocks.append(block)
-        width += _block_width(block)
-    return GammaSpec(tuple(blocks))
-
-
 @st.composite
 def _char_cases(draw):
-    gamma = draw(_gamma_specs())
-    # a small pool of values, so coordinates repeat and stabilizers have
-    # several irreps
-    pool = draw(st.lists(_CHAR_COORD, min_size=1, max_size=3))
-    lam = tuple(draw(st.sampled_from(pool)) for _ in range(gamma.n))
+    gamma = draw(gamma_specs())
+    lam = draw(pooled_weights(gamma))
     simples = classify_X_over(gamma, lam)
     x = simples[draw(st.integers(0, len(simples) - 1))]
     return gamma, x, draw(st.sampled_from(["V", "Z"])), draw(st.integers(0, 4))
@@ -488,7 +501,7 @@ def _char_cases(draw):
 
 @st.composite
 def _finite_cases(draw):
-    gamma = draw(_gamma_specs(max_rank=3))
+    gamma = draw(gamma_specs(max_rank=3))
     lam = tuple(F(draw(st.integers(0, 2))) for _ in range(gamma.n))
     simples = classify_X_over(gamma, lam)
     x = simples[draw(st.integers(0, len(simples) - 1))]
@@ -496,7 +509,7 @@ def _finite_cases(draw):
 
 
 class TestWeightDims:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(_char_cases())
     def test_matches_verma_sums(self, case):
         gamma, x, module, depth = case
@@ -509,7 +522,7 @@ class TestWeightDims:
         assert character == orbit_sum
         assert rows == char_rows_by_evaluation(character, depth)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(_finite_cases())
     def test_finite_simple_sums_to_its_dimension(self, case):
         gamma, x, depth = case

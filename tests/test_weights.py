@@ -1,8 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gamma_strategies import CHAR_COORD, gamma_specs, pooled_weights
 from oracles import kostant_enumeration
 from wreatho.weights import (
     CycF,
@@ -10,6 +14,7 @@ from wreatho.weights import (
     SymF,
     canonical_orbit_rep,
     dot_act,
+    gamma_cells,
     kostant_p,
     leq,
     orbit_and_stabilizer,
@@ -18,6 +23,7 @@ from wreatho.weights import (
     perm_act,
     format_weight,
     simple_roots,
+    stabilizer,
 )
 
 
@@ -125,6 +131,41 @@ class TestOrbits:
         lam = w(2, -1, 5, 0, 5)
         orb, _ = orbit_and_stabilizer(gamma, lam)
         assert canonical_orbit_rep(gamma, lam) == orb[0]
+
+
+@st.composite
+def _walker_cases(draw):
+    """A spec and a pooled weight of Fractions or of small integers (the
+    marked weights of the flip layers)."""
+    gamma = draw(gamma_specs(max_rank=5))
+    coords = draw(st.sampled_from([CHAR_COORD, st.integers(0, 3)]))
+    return gamma, draw(pooled_weights(gamma, coords))
+
+
+class TestCellWalker:
+    @settings(max_examples=150)
+    @given(_walker_cases())
+    def test_against_elements(self, case):
+        gamma, lam = case
+        elements = gamma.group().elements()
+        assert canonical_orbit_rep(gamma, lam) == min(perm_act(g, lam) for g in elements)
+        fixing = [g for g in elements if perm_act(g, lam) == lam]
+        assert sorted(stabilizer(gamma, lam).elements()) == sorted(fixing)
+
+    @settings(max_examples=100)
+    @given(gamma_specs(max_rank=5))
+    def test_group_order(self, gamma):
+        expected = 1
+        for kind, data in gamma.blocks:
+            if kind == "S":
+                expected *= math.prod(math.factorial(size) for size in data)
+            elif kind == "C":
+                expected *= data
+        group = gamma.group()
+        assert group.order == expected
+        assert len(set(group.elements())) == expected
+        cells = [i for _, span in gamma_cells(gamma) for i in span]
+        assert cells == list(range(gamma.n))
 
 
 class TestKostant:
