@@ -24,6 +24,7 @@ from .weights import (
     canonical_orbit_rep,
     gamma_cells,
     group_desc,
+    hash_once,
     is_subgroup,
     stabilizer,
 )
@@ -31,11 +32,17 @@ from .weights import (
 
 @dataclass(frozen=True)
 class SimpleX:
-    """A simple object: canonical orbit representative, stabilizer, irrep."""
+    """A simple object: canonical orbit representative, stabilizer, irrep.
+
+    The hash is computed once and equals the generated value (see
+    weights.hash_once).
+    """
 
     orbit_rep: Weight
     stab: GroupDesc
     irrep: Irrep
+
+    __hash__ = hash_once
 
     def sort_key(self):
         return (self.orbit_rep, self.stab.key(), irrep_sort_key(self.stab, self.irrep))

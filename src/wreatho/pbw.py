@@ -20,7 +20,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .cato_a import s_sets_A
@@ -435,7 +435,9 @@ def _separating_invariants(gamma: GammaSpec, t: Weight) -> tuple:
 
     For symmetric factors, power sums of the t-values per factor; for cyclic
     blocks, orbit sums of all monomials up to degree m (the Noether bound),
-    which generate the invariant ring and hence separate orbits.
+    which generate the invariant ring and hence separate orbits.  Every
+    entry is homogeneous in t: p_k has degree k, a cyclic orbit sum the
+    degree of its monomial, and a trivial cell's value degree 1.
     """
     out = []
     for kind, span in gamma_cells(gamma):
@@ -450,9 +452,9 @@ def _separating_invariants(gamma: GammaSpec, t: Weight) -> tuple:
                     mono = [0] * m
                     for i in expo:
                         mono[i] += 1
-                    s = Fraction(0)
+                    s = 0
                     for r in range(m):
-                        term = Fraction(1)
+                        term = 1
                         for i in range(m):
                             term *= vals[(i + r) % m] ** mono[i]
                         s += term
@@ -469,6 +471,11 @@ def cc_equal(gamma: GammaSpec, lam: Weight, mu: Weight) -> dict:
     orbit test: mu in Gamma . (W-dot orbit of lam); invariant test: equality
     of a Gamma-separating family of symmetric functions in the rank-1 values
     c + c^2/2.  The two must concur (InternalConsistencyError otherwise).
+
+    The invariant test runs in integers: both t-tuples are scaled by L, the
+    lcm of their denominators.  Each invariant is homogeneous, so its value
+    on the scaled tuple is L^deg times its value on t, and since L > 0 the
+    two families agree after scaling exactly when they agree before.
     """
     if len(lam) != len(mu) or len(lam) != gamma.n:
         raise ValueError("rank mismatch")
@@ -478,8 +485,11 @@ def cc_equal(gamma: GammaSpec, lam: Weight, mu: Weight) -> dict:
     orbit_test = any(canonical_orbit_rep(gamma, w) == mu_rep for w in s_sets_A(lam, 4))
     t_lam = tuple(_t_value(c) for c in lam)
     t_mu = tuple(_t_value(c) for c in mu)
-    invariant_test = _separating_invariants(gamma, t_lam) == _separating_invariants(
-        gamma, t_mu
+    scale = lcm(*(t.denominator for t in t_lam + t_mu))
+    invariant_test = _separating_invariants(
+        gamma, tuple(t.numerator * (scale // t.denominator) for t in t_lam)
+    ) == _separating_invariants(
+        gamma, tuple(t.numerator * (scale // t.denominator) for t in t_mu)
     )
     if orbit_test != invariant_test:
         raise InternalConsistencyError(

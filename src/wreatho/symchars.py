@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -250,6 +249,7 @@ def dual_irrep(desc: GroupDesc, irrep: Irrep) -> Irrep:
 # restricted inner products
 
 
+@lru_cache(maxsize=None)
 def restricted_inner_product(
     sub: GroupDesc,
     g1: GroupDesc,
@@ -261,8 +261,10 @@ def restricted_inner_product(
 
     By Frobenius reciprocity this is also <Ind_sub^{g2} Res_sub irrep1,
     irrep2>.  Cyclic factors contribute residue-match 0/1 multipliers; the
-    symmetric part is an exact class sum over the product of sub's symmetric
-    factors plus singleton cells for the positions sub does not move.
+    symmetric part is an exact integer class sum over the product of sub's
+    symmetric factors plus singleton cells for the positions sub does not
+    move, divided by |sub|.  Memoized: a block computation asks for the
+    same few products many times.
     """
     if not (is_subgroup(sub, g1) and is_subgroup(sub, g2)):
         raise ValueError("sub must be a structural subgroup of both groups")
@@ -278,7 +280,7 @@ def restricted_inner_product(
         return 1
     cell_sizes = [len(c) for c in sym_cells]
     movable = [i for i, c in enumerate(sym_cells) if _is_sub_cell(sub, sym_cells[i])]
-    total = Fraction(0)
+    total = 0
     order = 1
     for i in movable:
         order *= math.factorial(cell_sizes[i])
@@ -294,11 +296,10 @@ def restricted_inner_product(
             weight *= class_size(combo[i])
         v1 = _product_char_value(g1, irrep1, cell_owner1, combo)
         v2 = _product_char_value(g2, irrep2, cell_owner2, combo)
-        total += Fraction(weight * v1 * v2)
-    total /= order
-    if total.denominator != 1 or total < 0:
-        raise InternalConsistencyError(f"inner product {total} not in Z>=0")
-    return int(total)
+        total += weight * v1 * v2
+    if total % order or total < 0:
+        raise InternalConsistencyError(f"inner product {total}/{order} not in Z>=0")
+    return total // order
 
 
 def _cyclic_residue(sub_factor: CycF, g: GroupDesc, irrep: Irrep) -> int:

@@ -238,16 +238,37 @@ class CycF:
 Factor = "SymF | CycF"
 
 
+def hash_once(self) -> int:
+    """``__hash__`` for a frozen dataclass used as a cache key.
+
+    The value is the one the dataclass would generate, hash((field1,
+    field2, ...)), so set and dict orders do not change; it is computed on
+    first use and stored on the instance, since rehashing a tuple of
+    Fractions on every lookup dominates the block computations.  A class
+    opts in with ``__hash__ = hash_once`` in its body (the dataclass then
+    keeps generating only ``__eq__``).
+    """
+    try:
+        return self._hash
+    except AttributeError:
+        value = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        object.__setattr__(self, "_hash", value)
+        return value
+
+
 @dataclass(frozen=True)
 class GroupDesc:
     """A product of SymF and CycF factors on disjoint position sets.
 
     Used both for Gamma itself and for every stabilizer that shows up.
-    Factors of order one are never stored.
+    Factors of order one are never stored.  The hash is computed once and
+    equals the generated value (see hash_once).
     """
 
     n: int
     factors: tuple
+
+    __hash__ = hash_once
 
     @property
     def order(self) -> int:
@@ -336,10 +357,14 @@ class GammaSpec:
     """The acting group, as typed blocks on consecutive coordinates.
 
     blocks: tuple of ("S", sizes) or ("C", m) or ("1", m).  Text format:
-    blocks separated by ";", each "S:a,b,c" / "C:m" / "1:m".
+    blocks separated by ";", each "S:a,b,c" / "C:m" / "1:m".  The hash is
+    computed once and equals the generated value, hash((blocks,)) (see
+    hash_once).
     """
 
     blocks: tuple
+
+    __hash__ = hash_once
 
     @property
     def n(self) -> int:

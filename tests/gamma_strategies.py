@@ -27,11 +27,12 @@ def _block_width(block):
 
 
 @st.composite
-def gamma_specs(draw, max_rank=4):
+def gamma_specs(draw, max_rank=4, kinds=_CHAR_BLOCKS):
+    """A GammaSpec of rank <= max_rank built from the blocks in kinds."""
     blocks = []
     width = 0
     while not blocks or (width < max_rank and draw(st.booleans())):
-        fits = [b for b in _CHAR_BLOCKS if _block_width(b) <= max_rank - width]
+        fits = [b for b in kinds if _block_width(b) <= max_rank - width]
         block = draw(st.sampled_from(fits))
         blocks.append(block)
         width += _block_width(block)

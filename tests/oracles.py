@@ -8,7 +8,9 @@ enumeration.  Only plain rational linear algebra is shared forensically
 the center over the full ansatz checks the choice of unknowns (it
 multiplies with the PBW engine and solves with wreatho.linalg), and the
 Verma-sum weight dimensions check the factorized count and its candidate
-weights (they evaluate the package's CharacterVB)."""
+weights (they evaluate the package's CharacterVB), and the separating
+invariants over Fractions check cc_equal's integer scaling (they read
+Gamma's cells from weights.gamma_cells)."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from fractions import Fraction
 from wreatho.weights import (
     GammaSpec,
     canonical_orbit_rep,
+    gamma_cells,
     perm_act,
     perm_compose,
     perm_inverse,
@@ -612,3 +615,39 @@ def char_rows_by_evaluation(character, depth):
                 rows.append((nu, d))
     rows.sort(key=lambda r: (-sum(r[0]), r[0]))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# central character invariants over Fractions
+
+
+def separating_invariants(gamma: GammaSpec, t) -> tuple:
+    """The Gamma-orbit-separating invariants of cc_equal, over Fractions.
+
+    Power sums per Young factor, orbit sums of every monomial of degree
+    1..m per cyclic block of width m, and the value itself per trivial cell.
+    """
+    out = []
+    for kind, span in gamma_cells(gamma):
+        vals = [Fraction(v) for v in t[span.start : span.stop]]
+        m = len(vals)
+        if kind == "S":
+            out.append(tuple(sum(v**k for v in vals) for k in range(1, m + 1)))
+        elif kind == "C":
+            sums = []
+            for total in range(1, m + 1):
+                for expo in itertools.combinations_with_replacement(range(m), total):
+                    mono = [0] * m
+                    for i in expo:
+                        mono[i] += 1
+                    s = Fraction(0)
+                    for r in range(m):
+                        term = Fraction(1)
+                        for i in range(m):
+                            term *= vals[(i + r) % m] ** mono[i]
+                        s += term
+                    sums.append(s)
+            out.append(tuple(sums))
+        else:
+            out.extend((v,) for v in vals)
+    return tuple(out)

@@ -1,9 +1,13 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gamma_strategies import gamma_specs, pooled_weights
 from wreatho.clifford import (
     CObject,
     SimpleX,
@@ -180,3 +184,32 @@ class TestJson:
             for x in classify_X_over(gamma, lam):
                 data = simplex_to_json(gamma, x)
                 assert simplex_from_json(gamma, data) == x
+
+
+def _generated_hash(obj):
+    """The hash a frozen dataclass generates: of the tuple of its fields."""
+    return hash(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+
+
+@st.composite
+def _spec_and_weight(draw):
+    gamma = draw(gamma_specs())
+    return gamma, draw(pooled_weights(gamma))
+
+
+class TestHashOnce:
+    @settings(max_examples=100)
+    @given(_spec_and_weight())
+    def test_hash_equals_generated(self, case):
+        gamma, lam = case
+        for x in classify_X_over(gamma, lam):
+            for obj in (x, x.stab, gamma):
+                assert hash(obj) == _generated_hash(obj)
+                assert hash(obj) == _generated_hash(obj)  # the stored value
+            # built apart from x, from equal but distinct parts
+            stab = GroupDesc(x.stab.n, tuple(x.stab.factors))
+            rebuilt = SimpleX(tuple(F(c) for c in x.orbit_rep), stab, tuple(x.irrep))
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+            assert stab == x.stab and hash(stab) == hash(x.stab)
+        again = parse_gamma(str(gamma))
+        assert again == gamma and hash(again) == hash(gamma)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import center_basis_full_ansatz
+from gamma_strategies import CHAR_COORD, gamma_specs, pooled_weights
+from oracles import center_basis_full_ansatz, separating_invariants
 from wreatho.linalg import in_row_space
 from wreatho.pbw import (
     Algebra,
@@ -24,7 +27,7 @@ from wreatho.pbw import (
     parse_expr,
 )
 from wreatho.poly import Poly
-from wreatho.weights import parse_gamma, perm_inverse
+from wreatho.weights import flip_coord, parse_gamma, perm_act, perm_inverse
 
 
 def rand_element(alg, rng, with_group=False, length=3):
@@ -387,6 +390,52 @@ class TestCCEqual:
         assert not cc_equal(gamma, lam, mu)["equal"]
         rotated = (F(3), F(4), F(1), F(2))
         assert cc_equal(gamma, lam, rotated)["equal"]
+
+
+def _oracle_invariant_test(gamma, lam, mu):
+    t_lam = [c + c * c / 2 for c in lam]
+    t_mu = [c + c * c / 2 for c in mu]
+    return separating_invariants(gamma, t_lam) == separating_invariants(gamma, t_mu)
+
+
+# cyclic blocks first; thirds make t's denominators 18 next to the 8 of halves
+_CC_BLOCKS = [("C", 2), ("C", 3), ("C", 4), ("S", (2,)), ("S", (1,)), ("1", 1)]
+_CC_COORD = st.one_of(CHAR_COORD, st.sampled_from([F(1, 3), F(-2, 3), F(4, 3), F(-5, 3)]))
+
+
+@st.composite
+def _cc_cases(draw):
+    gamma = draw(gamma_specs(kinds=_CC_BLOCKS))
+    lam = draw(pooled_weights(gamma, coords=_CC_COORD))
+    if draw(st.booleans()):
+        # a Gamma-permuted dot flip of lam: same central character
+        flips = draw(st.lists(st.booleans(), min_size=gamma.n, max_size=gamma.n))
+        flipped = tuple(flip_coord(c) if f else c for c, f in zip(lam, flips))
+        mu = perm_act(draw(st.sampled_from(gamma.group().elements())), flipped)
+    else:
+        mu = draw(pooled_weights(gamma, coords=_CC_COORD))
+    return gamma, lam, mu
+
+
+class TestCCInvariantOracle:
+    @settings(max_examples=200)
+    @given(_cc_cases())
+    def test_integer_invariants_match_fraction_oracle(self, case):
+        gamma, lam, mu = case
+        out = cc_equal(gamma, lam, mu)
+        assert out["invariant_test"] == _oracle_invariant_test(gamma, lam, mu)
+        assert out["t_lambda"] == tuple(c + c * c / 2 for c in lam)
+
+    def test_cyclic_six(self):
+        gamma = parse_gamma("C:6")
+        lam = (F(3), F(0)) * 3
+        rotated_flipped = (F(0), F(-5), F(-2), F(3), F(0), F(3))
+        necklace = (F(3), F(3), F(0), F(0), F(3), F(0))  # same multiset
+        for mu, expected in ((rotated_flipped, True), (necklace, False)):
+            out = cc_equal(gamma, lam, mu)
+            assert out["invariant_test"] is expected
+            assert out["equal"] is expected
+            assert _oracle_invariant_test(gamma, lam, mu) is expected
 
 
 class TestParser:

@@ -614,8 +614,10 @@ class TestConcurrency:
             jobs.append((gamma, classify_X_over(gamma, lam)[0]))
         serial = [block_matrices(g, x).to_json() for g, x in jobs]
         import wreatho.skew_o as so
+        import wreatho.symchars as sc
 
         so._verma_decompose_terms.cache_clear()
+        sc.restricted_inner_product.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(
                 pool.map(lambda job: block_matrices(*job).to_json(), jobs)

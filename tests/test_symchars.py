@@ -1,9 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import cycle_type_rep, specht_character, standard_tableaux_count
+from gamma_strategies import gamma_specs, pooled_weights
+from oracles import _stab_char_value, cycle_type_rep, specht_character, standard_tableaux_count
+from wreatho.skew_o import _flip_layer_choices
 from wreatho.symchars import (
     char_table,
     char_value,
@@ -12,8 +17,9 @@ from wreatho.symchars import (
     induce_restrict_mult,
     list_irreps,
     partitions_of,
+    restricted_inner_product,
 )
-from wreatho.weights import CycF, GroupDesc, SymF
+from wreatho.weights import CycF, GroupDesc, SymF, flip_subset, stabilizer
 
 
 class TestCharValues:
@@ -164,3 +170,36 @@ class TestInduceRestrict:
                     + specht_character(lam, swap) * specht_character(mu, (1, 0))
                 ) / 2
                 assert got == val
+
+
+# Young blocks and C:2 blocks: the oracle's cyclic characters are signs
+_SYM_C2_BLOCKS = [
+    ("S", (1,)), ("S", (2,)), ("S", (3,)), ("S", (1, 2)), ("S", (2, 2)), ("C", 2),
+]
+
+
+@st.composite
+def _flip_layer_cases(draw):
+    gamma = draw(gamma_specs(kinds=_SYM_C2_BLOCKS))
+    return gamma, draw(pooled_weights(gamma))
+
+
+class TestRestrictedInnerProduct:
+    @settings(max_examples=60)
+    @given(_flip_layer_cases())
+    def test_against_class_sum_oracle(self, case):
+        # every (T, stab_T) the Verma decomposition asks about, against
+        # (1/|sub|) sum over sub's elements of chi1(h) chi2(h)
+        gamma, lam = case
+        stab = stabilizer(gamma, lam)
+        for t_set, sub in _flip_layer_choices(gamma, lam):
+            stab_nu = stabilizer(gamma, flip_subset(lam, t_set))
+            elements = sub.elements()
+            for irrep1 in list_irreps(stab):
+                for irrep2 in list_irreps(stab_nu):
+                    expected = sum(
+                        _stab_char_value(stab, irrep1, h) * _stab_char_value(stab_nu, irrep2, h)
+                        for h in elements
+                    ) / Fraction(len(elements))
+                    got = restricted_inner_product(sub, stab, irrep1, stab_nu, irrep2)
+                    assert got == expected, (gamma, lam, t_set, irrep1, irrep2)
