@@ -104,11 +104,12 @@ def simples(gamma_text, weight_text, fmt):
             )
 
 
-def _block_payload(gamma, weight, irrep_index):
+def _simple_at(gamma, weight, irrep_index):
+    """The --irrep-th simple over the weight, in classify_X_over order."""
     xs = classify_X_over(gamma, weight)
     if not 0 <= irrep_index < len(xs):
         _fail(f"--irrep {irrep_index} out of range (0..{len(xs) - 1})")
-    return block_matrices(gamma, xs[irrep_index])
+    return xs[irrep_index]
 
 
 @main.command()
@@ -119,7 +120,7 @@ def _block_payload(gamma, weight, irrep_index):
 def block(gamma_text, weight_text, irrep_index, fmt):
     """Linkage class and D/F/C/C' matrices of the block over a weight."""
     gamma, weight = _parse_inputs(gamma_text, weight_text)
-    bd = _block_payload(gamma, weight, irrep_index)
+    bd = block_matrices(gamma, _simple_at(gamma, weight, irrep_index))
     if fmt == "dot":
         click.echo(bd.to_dot())
     elif fmt == "json":
@@ -139,7 +140,7 @@ def block(gamma_text, weight_text, irrep_index, fmt):
 def matrices(gamma_text, weight_text, irrep_index, fmt):
     """The four block matrices only."""
     gamma, weight = _parse_inputs(gamma_text, weight_text)
-    bd = _block_payload(gamma, weight, irrep_index)
+    bd = block_matrices(gamma, _simple_at(gamma, weight, irrep_index))
     if fmt == "json":
         data = bd.to_json()
         click.echo(
@@ -170,10 +171,8 @@ def char(which, gamma_text, weight_text, irrep_index, depth, fmt):
     if depth < 0:
         _fail("--depth must be >= 0")
     gamma, weight = _parse_inputs(gamma_text, weight_text)
-    xs = classify_X_over(gamma, weight)
-    if not 0 <= irrep_index < len(xs):
-        _fail(f"--irrep {irrep_index} out of range (0..{len(xs) - 1})")
-    character, rows = weight_dims_skew(gamma, xs[irrep_index], which, depth)
+    x = _simple_at(gamma, weight, irrep_index)
+    character, rows = weight_dims_skew(gamma, x, which, depth)
     if fmt == "json":
         click.echo(
             json.dumps(
@@ -223,7 +222,11 @@ def cc(gamma_text, weight_text, mu_text):
     except ValueError as exc:
         _fail(f"bad --mu: {exc}", input=mu_text)
     if len(mu) != gamma.n:
-        _fail("mu rank mismatch", mu=mu_text)
+        _fail(
+            f"mu rank {len(mu)} does not match gamma rank {gamma.n}",
+            mu=mu_text,
+            gamma=gamma_text,
+        )
     result = cc_equal(gamma, weight, mu)
     click.echo(
         json.dumps(

@@ -9,19 +9,27 @@ so no module is ever materialized.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import symchars
-from .symchars import Irrep, dual_irrep, irrep_dim, irrep_sort_key, list_irreps
+from .symchars import (
+    Irrep,
+    dual_irrep,
+    irrep_dim,
+    irrep_labels,
+    irrep_sort_key,
+    list_irreps,
+    parse_irrep_labels,
+)
 from .weights import (
-    CycF,
     GammaSpec,
     GroupDesc,
     InternalConsistencyError,
     SymF,
     Weight,
     canonical_orbit_rep,
+    format_weight,
     gamma_cells,
     group_desc,
     hash_once,
@@ -48,14 +56,7 @@ class SimpleX:
         return (self.orbit_rep, self.stab.key(), irrep_sort_key(self.stab, self.irrep))
 
     def __repr__(self):
-        from .weights import format_weight
-
-        labels = []
-        for f, label in zip(self.stab.factors, self.irrep):
-            if isinstance(f, SymF):
-                labels.append(",".join(str(p) for p in label))
-            else:
-                labels.append(f"j={label}")
+        labels = irrep_labels(self.stab, self.irrep)
         irr = "(" + "|".join(labels) + ")" if labels else "(triv)"
         return f"X[{format_weight(self.orbit_rep)};{irr}]"
 
@@ -209,11 +210,7 @@ def concat_simplex(gammas: list[GammaSpec], xs: list[SimpleX]) -> SimpleX:
     for g, x in zip(gammas, xs):
         rep.extend(x.orbit_rep)
         for f, label in zip(x.stab.factors, x.irrep):
-            moved = tuple(p + offset for p in f.positions)
-            if isinstance(f, SymF):
-                factors.append(SymF(moved))
-            else:
-                factors.append(CycF(moved, f.order))
+            factors.append(replace(f, positions=tuple(p + offset for p in f.positions)))
             labels.append(label)
         offset += g.n
     stab = group_desc(big.n, factors)
@@ -222,21 +219,14 @@ def concat_simplex(gammas: list[GammaSpec], xs: list[SimpleX]) -> SimpleX:
 
 
 def simplex_to_json(gamma: GammaSpec, x: SimpleX) -> dict:
-    from .weights import format_weight
-
-    stab_parts = []
-    irrep_parts = []
-    for f, label in zip(x.stab.factors, x.irrep):
-        if isinstance(f, SymF):
-            stab_parts.append(f"S:{len(f.positions)}")
-            irrep_parts.append(",".join(str(p) for p in label))
-        else:
-            stab_parts.append(f"C:{f.order}")
-            irrep_parts.append(f"j={label}")
+    stab_parts = [
+        f"S:{len(f.positions)}" if isinstance(f, SymF) else f"C:{f.order}"
+        for f in x.stab.factors
+    ]
     return {
         "orbit_rep": [str(c) for c in x.orbit_rep],
         "stab": "|".join(stab_parts) if stab_parts else "1",
-        "irrep": irrep_parts,
+        "irrep": irrep_labels(x.stab, x.irrep),
     }
 
 
@@ -245,12 +235,6 @@ def simplex_from_json(gamma: GammaSpec, data: dict) -> SimpleX:
     rep = tuple(Fraction(c) for c in data["orbit_rep"])
     rep = canonical_orbit_rep(gamma, rep)
     stab = stabilizer(gamma, rep)
-    labels = []
-    for f, text in zip(stab.factors, data["irrep"]):
-        if isinstance(f, SymF):
-            labels.append(tuple(int(p) for p in text.split(",")))
-        else:
-            labels.append(int(text.split("=")[1]))
-    x = SimpleX(rep, stab, tuple(labels))
+    x = SimpleX(rep, stab, parse_irrep_labels(stab, data["irrep"]))
     validate_simplex(gamma, x)
     return x

@@ -47,6 +47,8 @@ class DeformationSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("the cross relations need n >= 2")
+        if self.w_degree < 0:
+            raise ValueError(f"w_degree must be >= 0, got {self.w_degree}")
 
 
 def f_of_casimir(alg: Algebra, i: int, f_coeffs) -> Element:

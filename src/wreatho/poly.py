@@ -206,5 +206,4 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(d.items()))
 
 
-ZERO = Poly()
 ONE = Poly.const(1)

@@ -39,9 +39,8 @@ from .clifford import (
     transport_irrep,
     validate_simplex,
 )
-from .symchars import irrep_dim, list_irreps, restricted_inner_product
+from .symchars import dual_irrep, irrep_dim, list_irreps, restricted_inner_product
 from .weights import (
-    CycF,
     GammaSpec,
     InternalConsistencyError,
     Weight,
@@ -443,14 +442,11 @@ def _apply_f_eps(gamma: GammaSpec, x: SimpleX, eps: tuple) -> SimpleX:
     """Blockwise duality twist F^eps on a simple over the concatenation."""
     spans = gamma.block_spans()
     labels = []
-    for f, label in zip(x.stab.factors, x.irrep):
+    for f, label, dual in zip(x.stab.factors, x.irrep, dual_irrep(x.stab, x.irrep)):
         block = next(
             b for b, (lo, hi) in enumerate(spans) if lo <= f.positions[0] < hi
         )
-        if eps[block] and isinstance(f, CycF):
-            labels.append((-label) % f.order)
-        else:
-            labels.append(label)
+        labels.append(dual if eps[block] else label)
     return SimpleX(x.orbit_rep, x.stab, tuple(labels))
 
 

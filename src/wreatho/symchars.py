@@ -1,12 +1,17 @@
-"""Exact character theory for symmetric and cyclic groups.
+"""Exact character theory for symmetric and cyclic groups, and the one
+place that knows how an irrep of a stabilizer (a GroupDesc) is labeled.
+
+An irrep carries one label per factor: a partition for a SymF, a residue
+for a CycF.  This module lists, orders, dualizes, prints and parses those
+labels; other modules pass them through unchanged.
 
 Everything is integer arithmetic: symmetric group characters via the
 Murnaghan-Nakayama rule (https://en.wikipedia.org/wiki/Murnaghan-Nakayama_rule),
 dimensions via hook lengths, and induction/restriction multiplicities via
-Frobenius reciprocity as exact class sums.  Cyclic group characters are
-never materialized over a cyclotomic field: restrictions along chains of
-cyclic subgroups reduce to residue matching, and those are the only cyclic
-multiplicities this package needs.
+Frobenius reciprocity as exact class sums over the subgroup's own factors.
+Cyclic group characters are never materialized over a cyclotomic field:
+restrictions along chains of cyclic subgroups reduce to residue matching,
+and those are the only cyclic multiplicities this package needs.
 """
 
 from __future__ import annotations
@@ -14,9 +19,16 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .weights import CycF, GroupDesc, InternalConsistencyError, SymF, is_subgroup
+from .weights import (
+    CycF,
+    GroupDesc,
+    InternalConsistencyError,
+    SymF,
+    _parent_factor,
+    is_subgroup,
+)
 
 Partition = tuple  # weakly decreasing tuple of positive ints; () allowed
 
@@ -129,14 +141,6 @@ def class_size(mu: Partition) -> int:
     return math.factorial(n) // z
 
 
-def merge_cycle_types(types: Iterable[Partition]) -> Partition:
-    """Cycle type of a block-diagonal permutation: sorted union of parts."""
-    parts = []
-    for t in types:
-        parts.extend(t)
-    return tuple(sorted(parts, reverse=True))
-
-
 # ---------------------------------------------------------------------------
 # full character tables
 
@@ -183,13 +187,13 @@ class CharTable:
                     raise ValueError(f"rows {i},{j} not orthogonal")
 
 
-def char_table(n: int, max_n: int = MAX_TABLE_N) -> CharTable:
+def char_table(n: int) -> CharTable:
     """The validated character table of S_n, computed from `char_value`.
 
     Not memoized: its entries come from `char_value`'s cache.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n={n} outside supported range 1..{max_n}")
+    if not 1 <= n <= MAX_TABLE_N:
+        raise ValueError(f"n={n} outside supported range 1..{MAX_TABLE_N}")
     table = CharTable.compute(n)
     table.validate()
     return table
@@ -245,6 +249,23 @@ def dual_irrep(desc: GroupDesc, irrep: Irrep) -> Irrep:
     return tuple(out)
 
 
+def irrep_labels(desc: GroupDesc, irrep: Irrep) -> list[str]:
+    """One text label per factor: "2,1" for a partition, "j=1" for a residue."""
+    return [
+        ",".join(str(p) for p in label) if isinstance(f, SymF) else f"j={label}"
+        for f, label in zip(desc.factors, irrep)
+    ]
+
+
+def parse_irrep_labels(desc: GroupDesc, texts: Sequence[str]) -> Irrep:
+    """Inverse of `irrep_labels`."""
+    return tuple(
+        tuple(int(p) for p in text.split(",")) if isinstance(f, SymF)
+        else int(text.split("=")[1])
+        for f, text in zip(desc.factors, texts)
+    )
+
+
 # ---------------------------------------------------------------------------
 # restricted inner products
 
@@ -260,118 +281,59 @@ def restricted_inner_product(
     """<Res_sub irrep1, Res_sub irrep2> for a common structural subgroup.
 
     By Frobenius reciprocity this is also <Ind_sub^{g2} Res_sub irrep1,
-    irrep2>.  Cyclic factors contribute residue-match 0/1 multipliers; the
-    symmetric part is an exact integer class sum over the product of sub's
-    symmetric factors plus singleton cells for the positions sub does not
-    move, divided by |sub|.  Memoized: a block computation asks for the
-    same few products many times.
+    irrep2>.  The sum runs over sub's own factors, each matched to its
+    parent factor in g1 and g2: a cyclic factor contributes a residue-match
+    0/1 multiplier, and the symmetric factors an exact integer class sum
+    over their product, divided by its order.  Positions sub does not move
+    are fixed points, which `_product_char_value` pads in.  Memoized: a
+    block computation asks for the same few products many times.
     """
     if not (is_subgroup(sub, g1) and is_subgroup(sub, g2)):
         raise ValueError("sub must be a structural subgroup of both groups")
+    sizes, owners1, owners2 = [], [], []
     for f in sub.factors:
+        i1 = g1.factors.index(_parent_factor(f, g1))
+        i2 = g2.factors.index(_parent_factor(f, g2))
         if isinstance(f, CycF):
-            r1 = _cyclic_residue(f, g1, irrep1)
-            r2 = _cyclic_residue(f, g2, irrep2)
-            if (r1 - r2) % f.order:
+            if (irrep1[i1] - irrep2[i2]) % f.order:
                 return 0
-
-    sym_cells, cell_owner1, cell_owner2 = _sym_cells(sub, g1, g2)
-    if not sym_cells:
-        return 1
-    cell_sizes = [len(c) for c in sym_cells]
-    movable = [i for i, c in enumerate(sym_cells) if _is_sub_cell(sub, sym_cells[i])]
+        else:
+            sizes.append(len(f.positions))
+            owners1.append(i1)
+            owners2.append(i2)
     total = 0
     order = 1
-    for i in movable:
-        order *= math.factorial(cell_sizes[i])
-    assignments = []
-    for i, size in enumerate(cell_sizes):
-        if i in movable:
-            assignments.append(list(partitions_of(size)))
-        else:
-            assignments.append([tuple([1] * size)])
-    for combo in itertools.product(*assignments):
+    for size in sizes:
+        order *= math.factorial(size)
+    for combo in itertools.product(*(partitions_of(size) for size in sizes)):
         weight = 1
-        for i in movable:
-            weight *= class_size(combo[i])
-        v1 = _product_char_value(g1, irrep1, cell_owner1, combo)
-        v2 = _product_char_value(g2, irrep2, cell_owner2, combo)
+        for mu in combo:
+            weight *= class_size(mu)
+        v1 = _product_char_value(g1, irrep1, owners1, combo)
+        v2 = _product_char_value(g2, irrep2, owners2, combo)
         total += weight * v1 * v2
     if total % order or total < 0:
         raise InternalConsistencyError(f"inner product {total}/{order} not in Z>=0")
     return total // order
 
 
-def _cyclic_residue(sub_factor: CycF, g: GroupDesc, irrep: Irrep) -> int:
-    """Residue of the restriction of g's label on sub_factor's block."""
-    for f, label in zip(g.factors, irrep):
-        if isinstance(f, CycF) and f.positions == sub_factor.positions:
-            if f.order % sub_factor.order:
-                raise ValueError("not a cyclic subgroup")
-            return label % sub_factor.order
-    raise ValueError("cyclic sub-factor has no parent factor")
-
-
-def _sym_cells(sub: GroupDesc, g1: GroupDesc, g2: GroupDesc):
-    """Common refinement cells of the symmetric parts.
-
-    Cells are sub's SymF position sets plus singletons for every position
-    that g1 or g2 moves but sub does not.  Returns (cells, owner1, owner2)
-    where owner maps a cell index to the index of the parent factor in g1/g2
-    (or None when that group does not move the cell).
-    """
-    sub_sym = [set(f.positions) for f in sub.factors if isinstance(f, SymF)]
-    covered = set().union(*sub_sym) if sub_sym else set()
-    singles = set()
-    for g in (g1, g2):
-        for f in g.factors:
-            if isinstance(f, SymF):
-                singles.update(p for p in f.positions if p not in covered)
-    cells = [tuple(sorted(c)) for c in sub_sym]
-    cells += [(p,) for p in sorted(singles)]
-    owner1 = [_sym_owner(g1, cell) for cell in cells]
-    owner2 = [_sym_owner(g2, cell) for cell in cells]
-    return cells, owner1, owner2
-
-
-def _sym_owner(g: GroupDesc, cell: tuple):
-    for idx, f in enumerate(g.factors):
-        if isinstance(f, SymF) and set(cell) <= set(f.positions):
-            return idx
-        if isinstance(f, CycF) and set(cell) & set(f.positions):
-            if len(cell) > 1:
-                raise ValueError("symmetric cell inside a cyclic block")
-            return None
-    return None
-
-
-def _is_sub_cell(sub: GroupDesc, cell: tuple) -> bool:
-    return any(
-        isinstance(f, SymF) and f.positions == cell for f in sub.factors
-    )
-
-
 def _product_char_value(g: GroupDesc, irrep: Irrep, owners, combo) -> int:
     """chi_{irrep restricted}(class) for the symmetric part of g.
 
-    combo assigns a cycle type to each cell; cells owned by the same g-factor
-    merge their types, and the g-factor's partition character is evaluated
-    there.  Unowned cells are fixed points of g and contribute 1.
+    combo assigns a cycle type to each symmetric factor of the subgroup, and
+    owners the index of its parent factor in g; the cycle types inside one
+    g-factor merge, the positions they leave are fixed points, and the
+    g-factor's partition character is evaluated there.
     """
-    by_factor: dict[int, list] = {}
-    for cell_idx, owner in enumerate(owners):
-        if owner is not None:
-            by_factor.setdefault(owner, []).append(combo[cell_idx])
+    parts_by_factor: dict[int, list] = {}
+    for owner, mu in zip(owners, combo):
+        parts_by_factor.setdefault(owner, []).extend(mu)
     value = 1
-    for idx, f in enumerate(g.factors):
-        if not isinstance(f, SymF):
-            continue
-        types = by_factor.get(idx, [])
-        merged = merge_cycle_types(types)
-        missing = len(f.positions) - sum(merged)
-        if missing:
-            merged = merge_cycle_types([merged, tuple([1] * missing)])
-        value *= char_value(irrep[idx], merged)
+    for idx, (f, label) in enumerate(zip(g.factors, irrep)):
+        if isinstance(f, SymF):
+            parts = sorted(parts_by_factor.get(idx, ()), reverse=True)
+            parts += [1] * (len(f.positions) - sum(parts))
+            value *= char_value(label, tuple(parts))
     return value
 
 

@@ -307,14 +307,7 @@ def _mapping_to_perm(mapping: dict, n: int) -> Perm:
 
 
 def group_desc(n: int, factors: Iterable) -> GroupDesc:
-    kept = []
-    for f in factors:
-        if isinstance(f, SymF) and len(f.positions) < 2:
-            continue
-        if isinstance(f, CycF) and f.order < 2:
-            continue
-        kept.append(f)
-    kept.sort(key=lambda f: f.positions[0])
+    kept = sorted((f for f in factors if f.order > 1), key=lambda f: f.positions[0])
     return GroupDesc(n, tuple(kept))
 
 

@@ -135,21 +135,35 @@ class TestChar:
                 )
 
 
+def _load_tracing():
+    """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "perfbench", "tracing.py",
+    )
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestTracerHooks:
+    # perfbench/tracing.py wraps these attributes and reads these caches
+    # when --trace 1 installs; a rename in the program must fail here first
+
     def test_every_hooked_name_resolves(self):
-        # perfbench/tracing.py wraps these attributes when --trace 1
-        # installs; a rename in the program must fail here first
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "perfbench", "tracing.py",
-        )
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _load_tracing()
         pairs = [pair for pairs in tracing.LAYERS.values() for pair in pairs]
         pairs.append((wreatho.cli, "_down_weights"))
         for owner, name in pairs:
             assert callable(owner.__dict__[name]), (owner, name)
+
+    def test_every_cache_has_cache_info(self):
+        tracing = _load_tracing()
+        assert tracing.CACHES
+        for name, fn in tracing.CACHES.items():
+            info = fn.cache_info()
+            assert info.hits >= 0 and info.misses >= 0, name
 
 
 class TestCC:
@@ -161,6 +175,37 @@ class TestCC:
     def test_not_equal(self):
         r = run("cc", "--gamma", "1:1", "--weight", "1", "--mu", "2")
         assert json.loads(r.output)["equal"] is False
+
+    def test_mu_rank_mismatch_names_both_ranks(self):
+        r = run("cc", "--gamma", "S:2", "--weight", "3,0", "--mu", "1,2,3")
+        assert r.exit_code == 1
+        err = json.loads(r.stderr)
+        assert err["error"] == "mu rank 3 does not match gamma rank 2"
+        assert err["mu"] == "1,2,3" and err["gamma"] == "S:2"
+
+
+class TestIrrepIndex:
+    def test_out_of_range_in_every_command(self):
+        # S:2 at 0,0 has two simples: indices 0 and 1
+        for args in (
+            ("block",),
+            ("matrices",),
+            ("char", "--module", "V", "--depth", "1"),
+        ):
+            r = run(*args, "--gamma", "S:2", "--weight", "0,0", "--irrep", "2")
+            assert r.exit_code == 1, args
+            assert json.loads(r.stderr)["error"] == "--irrep 2 out of range (0..1)"
+
+    def test_picks_the_same_simple(self):
+        gamma = parse_gamma("S:2")
+        x = classify_X_over(gamma, parse_weight("0,0"))[1]
+        r = run(
+            "block", "--gamma", "S:2", "--weight", "0,0", "--irrep", "1",
+            "--format", "json",
+        )
+        assert r.exit_code == 0
+        direct = json.dumps(block_matrices(gamma, x).to_json(), indent=2)
+        assert r.output.strip() == direct
 
 
 class TestPbw:
@@ -210,6 +255,13 @@ class TestAppendix:
         data = json.loads(r.output)
         assert data["solution_space_dim"] == 0
         assert set(data["forced_zero"]) == {"c", "d", "u", "v", "w"}
+
+    def test_negative_wdeg_rejected(self):
+        # a negative degree bound leaves no w monomials to check
+        r = run("appendix", "--n", "2", "--wdeg", "-1")
+        assert r.exit_code == 1
+        assert json.loads(r.stderr)["error"] == "w_degree must be >= 0, got -1"
+        assert r.stdout == ""
 
 
 class TestSelftest:

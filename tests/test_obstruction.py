@@ -87,6 +87,15 @@ class TestWeightVectors:
         assert weight_vector_check(alg.zero(), (3, 5))
 
 
+class TestSpec:
+    def test_negative_w_degree(self):
+        with pytest.raises(ValueError, match="w_degree"):
+            DeformationSpec(n=2, w_degree=-1)
+
+    def test_zero_w_degree_allowed(self):
+        assert DeformationSpec(n=2, w_degree=0).w_degree == 0
+
+
 class TestNoGo:
     def test_n2_symbolic_f(self):
         spec = DeformationSpec(n=2, f_coeffs=[Poly.var("t0"), Poly.var("t1")])

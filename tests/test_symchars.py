@@ -10,11 +10,13 @@ from gamma_strategies import gamma_specs, pooled_weights
 from oracles import _stab_char_value, cycle_type_rep, specht_character, standard_tableaux_count
 from wreatho.skew_o import _flip_layer_choices
 from wreatho.symchars import (
+    CharTable,
     char_table,
     char_value,
     class_size,
     dim_irrep,
     induce_restrict_mult,
+    irrep_dim,
     list_irreps,
     partitions_of,
     restricted_inner_product,
@@ -96,7 +98,7 @@ class TestTables:
     def test_cap(self):
         with pytest.raises(ValueError):
             char_table(9)
-        char_table(9, max_n=9).validate()
+        CharTable.compute(9).validate()
 
 
 class TestNoFiles:
@@ -144,8 +146,6 @@ class TestInduceRestrict:
             (GroupDesc(4, (CycF((0, 1, 2, 3), 2),)), GroupDesc(4, (CycF((0, 1, 2, 3), 4),))),
             (GroupDesc(3, ()), GroupDesc(3, (sym((0, 2)),))),
         ]
-        from wreatho.symchars import irrep_dim
-
         for sub, sup in cases:
             for sub_irrep in list_irreps(sub):
                 total = 0
@@ -203,3 +203,32 @@ class TestRestrictedInnerProduct:
                     ) / Fraction(len(elements))
                     got = restricted_inner_product(sub, stab, irrep1, stab_nu, irrep2)
                     assert got == expected, (gamma, lam, t_set, irrep1, irrep2)
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_induce_restrict_dimension(self, data):
+        # over every block kind, C:3 and C:4 included, where the class-sum
+        # oracle above has no characters:
+        # sum_{irrep2} m * dim(irrep2) = dim Ind_sub^{stab_nu} Res_sub irrep1
+        #                             = [stab_nu : sub] * dim(irrep1)
+        gamma = data.draw(gamma_specs())
+        lam = data.draw(pooled_weights(gamma))
+        stab = stabilizer(gamma, lam)
+        irreps = list_irreps(stab)
+        for irrep1 in irreps:
+            # restricted to the whole group the irreps are orthonormal
+            for irrep2 in irreps:
+                got = restricted_inner_product(stab, stab, irrep1, stab, irrep2)
+                assert got == (irrep1 == irrep2), (gamma, lam, irrep1, irrep2)
+        for t_set, sub in _flip_layer_choices(gamma, lam):
+            stab_nu = stabilizer(gamma, flip_subset(lam, t_set))
+            index = stab_nu.order // sub.order
+            for irrep1 in irreps:
+                total = sum(
+                    restricted_inner_product(sub, stab, irrep1, stab_nu, irrep2)
+                    * irrep_dim(stab_nu, irrep2)
+                    for irrep2 in list_irreps(stab_nu)
+                )
+                assert total == index * irrep_dim(stab, irrep1), (
+                    gamma, lam, t_set, irrep1,
+                )
