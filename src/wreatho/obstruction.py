@@ -52,12 +52,19 @@ class DeformationSpec:
 
 
 def f_of_casimir(alg: Algebra, i: int, f_coeffs) -> Element:
+    """sum_k f_k Omega_i^k, one multiplication by Omega_i per degree up to
+    the last nonzero coefficient."""
+    polys = [Poly.coerce(coef) for coef in f_coeffs]
+    while polys and polys[-1].is_zero():
+        polys.pop()
     total = alg.zero()
     omega = alg.casimir(i)
-    for k, coef in enumerate(f_coeffs):
-        poly = Poly.coerce(coef)
+    power = alg.one()
+    for k, poly in enumerate(polys):
+        if k:
+            power = power * omega
         if not poly.is_zero():
-            total = total + (omega**k) * poly
+            total = total + power * poly
     return total
 
 

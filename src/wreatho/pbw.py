@@ -10,6 +10,13 @@ together with h f = f(h-2), cross-factor commutativity, and gamma a =
 gamma(a) gamma.  The rewriting terminates and is confluent (the normal form
 is the PBW basis), which the associativity self-tests exercise.
 
+Every structure constant of these rules is an integer (binomials, powers
+of -2A, A and -A(A-1)), so `_mul_rank1` and the products work in plain
+ints; a denominator enters a coefficient only from an input, such as the
+1/2 in the Casimir.  A product forms p1 * p2 once per pair of terms and
+collects each output monomial's coefficient in one dict; coefficients are
+stored as Polys over Fractions.
+
 The Harish-Chandra projection keeps the pure-h monomials; everything about
 central characters is built on top of it.
 """
@@ -43,40 +50,51 @@ Monomial = tuple  # (factors: tuple[FactorExp, ...], perm: Perm)
 
 @lru_cache(maxsize=None)
 def _mul_rank1(m1: FactorExp, m2: FactorExp):
-    """Normal form of (f^a h^b e^c)(f^A h^B e^C) as {(a,b,c): Fraction}."""
+    """Normal form of (f^a h^b e^c)(f^A h^B e^C) as {(a,b,c): int}."""
     a, b, c = m1
     A, B, C = m2
     if c == 0:
-        out: dict[FactorExp, Fraction] = {}
+        # h^b f^A = f^A (h - 2A)^b; the keys differ in k, so nothing collects
+        out: dict[FactorExp, int] = {}
         for k in range(b + 1):
-            coef = Fraction(comb(b, k)) * Fraction(-2 * A) ** (b - k)
+            coef = comb(b, k) * (-2 * A) ** (b - k)
             if coef:
-                key = (a + A, k + B, C)
-                out[key] = out.get(key, Fraction(0)) + coef
-        return {k: v for k, v in out.items() if v}
-    # peel one e off the left factor
-    pushed: dict[FactorExp, Fraction] = {}
-    for k in range(B + 1):
-        coef = Fraction(comb(B, k)) * Fraction(-2) ** (B - k)
-        key = (A, k, C + 1)
-        pushed[key] = pushed.get(key, Fraction(0)) + coef
+                out[(a + A, k + B, C)] = coef
+        return out
+    # peel one e off the left factor: e f^A h^B = f^A (h-2)^B e + A f^{A-1}
+    # (h - A + 1) h^B, with pairwise different keys
+    pushed: dict[FactorExp, int] = {
+        (A, k, C + 1): comb(B, k) * (-2) ** (B - k) for k in range(B + 1)
+    }
     if A > 0:
-        pushed[(A - 1, B + 1, C)] = pushed.get((A - 1, B + 1, C), Fraction(0)) + A
-        low = Fraction(-A * (A - 1))
-        if low:
-            pushed[(A - 1, B, C)] = pushed.get((A - 1, B, C), Fraction(0)) + low
+        pushed[(A - 1, B + 1, C)] = A
+        if A > 1:
+            pushed[(A - 1, B, C)] = -A * (A - 1)
     out = {}
     rest = (a, b, c - 1)
     for key, coef in pushed.items():
-        if not coef:
-            continue
         for k2, c2 in _mul_rank1(rest, key).items():
-            s = out.get(k2, Fraction(0)) + coef * c2
+            s = out.get(k2, 0) + coef * c2
             if s:
                 out[k2] = s
             else:
                 out.pop(k2, None)
     return out
+
+
+def _accumulate(acc: dict, mono: Monomial, coef_terms: dict, scale: int) -> None:
+    """Add coef * scale into acc[mono], a {poly monomial: coefficient} dict;
+    coef is given by its terms, with integral values as ints."""
+    slot = acc.get(mono)
+    if slot is None:
+        slot = acc[mono] = {}
+    for pm, c in coef_terms.items():
+        slot[pm] = slot.get(pm, 0) + c * scale
+
+
+def _int_terms(p: Poly) -> dict:
+    """The terms of p, integral coefficients as ints (cheaper to multiply)."""
+    return {m: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
 
 
 class Algebra:
@@ -166,6 +184,9 @@ class Algebra:
         return total
 
 
+_SCALARS = (int, Fraction, Poly)
+
+
 class Element:
     """An element in PBW normal form: {(factors, perm): Poly}."""
 
@@ -192,8 +213,10 @@ class Element:
             raise ValueError("elements from different algebra contexts")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.scalar(other)
+        elif not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for m, p in other.terms.items():
@@ -210,45 +233,45 @@ class Element:
         return Element(self.algebra, {m: -p for m, p in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.scalar(other)
+        elif not isinstance(other, Element):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return self.algebra.scalar(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, _SCALARS):
             coef = Poly.coerce(other)
             return Element(
                 self.algebra, {m: p * coef for m, p in self.terms.items()}
             )
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
-        out: dict[Monomial, Poly] = {}
+        n = self.algebra.n
+        acc: dict[Monomial, dict] = {}
         for (fac1, perm1), p1 in self.terms.items():
             inv1 = perm_inverse(perm1)
             for (fac2, perm2), p2 in other.terms.items():
-                coef = p1 * p2
-                moved = tuple(fac2[inv1[i]] for i in range(self.algebra.n))
+                coef = _int_terms(p1 * p2)
                 perm = perm_compose(perm1, perm2)
                 per_factor = [
-                    _mul_rank1(fac1[i], moved[i]) for i in range(self.algebra.n)
+                    _mul_rank1(fac1[i], fac2[inv1[i]]).items() for i in range(n)
                 ]
-                for combo in itertools.product(*(d.items() for d in per_factor)):
-                    factors = tuple(k for k, _ in combo)
-                    scale = Fraction(1)
+                for combo in itertools.product(*per_factor):
+                    scale = 1
                     for _, v in combo:
                         scale *= v
-                    mono = (factors, perm)
-                    s = out.get(mono, Poly()) + coef * scale
-                    if s.is_zero():
-                        out.pop(mono, None)
-                    else:
-                        out[mono] = s
-        return Element(self.algebra, out)
+                    _accumulate(acc, (tuple(k for k, _ in combo), perm), coef, scale)
+        return Element(self.algebra, {m: Poly(s) for m, s in acc.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if isinstance(other, _SCALARS):
             return self * other
         return NotImplemented
 
@@ -260,8 +283,9 @@ class Element:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def substitute(self, values) -> "Element":
@@ -510,22 +534,41 @@ def cc_equal(gamma: GammaSpec, lam: Weight, mu: Weight) -> dict:
 
 def coproduct_pair(a: Element) -> Element:
     """The coproduct of a rank-1 element into the rank-2 algebra, via the
-    primitive images x -> x_1 + x_2 of the generators."""
+    primitive images x -> x_1 + x_2 of the generators.
+
+    The two legs commute, so each power expands binomially and
+    Delta(f^a h^b e^c) is the sum over a1 + a2 = a, b1 + b2 = b, c1 + c2 = c
+    of C(a,a1) C(b,b1) C(c,c1) (f^a1 h^b1 e^c1) x (f^a2 h^b2 e^c2), each
+    term already a PBW monomial."""
     alg = a.algebra
     if alg.n != 1:
         raise ValueError("coproduct_pair takes a rank-1 element")
-    out_alg = Algebra(2)
-    out = out_alg.zero()
-    fsum = out_alg.f(0) + out_alg.f(1)
-    hsum = out_alg.h(0) + out_alg.h(1)
-    esum = out_alg.e(0) + out_alg.e(1)
+    acc: dict[Monomial, dict] = {}
     for (factors, perm), coef in a.terms.items():
         if perm != (0,):
             raise ValueError("group parts have no coproduct here")
         av, bv, cv = factors[0]
-        term = (fsum**av) * (hsum**bv) * (esum**cv)
-        out = out + term * coef
-    return out
+        terms = _int_terms(coef)
+        for a1, b1, c1 in itertools.product(
+            range(av + 1), range(bv + 1), range(cv + 1)
+        ):
+            legs = ((a1, b1, c1), (av - a1, bv - b1, cv - c1))
+            scale = comb(av, a1) * comb(bv, b1) * comb(cv, c1)
+            _accumulate(acc, (legs, (0, 1)), terms, scale)
+    return Element(Algebra(2), {m: Poly(s) for m, s in acc.items()})
+
+
+@lru_cache(maxsize=None)
+def _antipode_rank1(m: FactorExp) -> dict:
+    """S(f^a h^b e^c) = (-1)^{a+b+c} e^c h^b f^a in normal form, as
+    {(a,b,c): int}."""
+    a, b, c = m
+    sign = (-1) ** (a + b + c)
+    out: dict[FactorExp, int] = {}
+    for key, coef in _mul_rank1((0, b, 0), (a, 0, 0)).items():
+        for k2, c2 in _mul_rank1((0, 0, c), key).items():
+            out[k2] = out.get(k2, 0) + sign * coef * c2
+    return {k: v for k, v in out.items() if v}
 
 
 def m_one_S_delta(a: Element, i: int, j: int, n: int | None = None) -> Element:
@@ -533,6 +576,9 @@ def m_one_S_delta(a: Element, i: int, j: int, n: int | None = None) -> Element:
 
     The antipode S negates the generators and reverses products; the j-leg
     of each coproduct term is rebuilt as e^c h^b f^a with sign (-1)^{a+b+c}.
+    The i-leg is already in normal form and the two legs lie in different
+    factors, so each term is the i-leg placed beside the normal form of the
+    j-leg, with no product of elements.
     """
     if i == j:
         raise ValueError("legs must be distinct")
@@ -541,15 +587,16 @@ def m_one_S_delta(a: Element, i: int, j: int, n: int | None = None) -> Element:
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError("leg index out of range")
     big = Algebra(n)
-    delta = coproduct_pair(a)
-    out = big.zero()
-    for (factors, _), coef in delta.terms.items():
-        (a1, b1, c1), (a2, b2, c2) = factors
-        left = (big.f(i) ** a1) * (big.h(i) ** b1) * (big.e(i) ** c1)
-        right = (big.e(j) ** c2) * (big.h(j) ** b2) * (big.f(j) ** a2)
-        sign = (-1) ** (a2 + b2 + c2)
-        out = out + left * right * (coef * sign)
-    return out
+    identity = big._id_perm()
+    acc: dict[Monomial, dict] = {}
+    for (legs, _), coef in coproduct_pair(a).terms.items():
+        factors = [(0, 0, 0)] * n
+        factors[i] = legs[0]
+        terms = _int_terms(coef)
+        for key, scale in _antipode_rank1(legs[1]).items():
+            factors[j] = key
+            _accumulate(acc, (tuple(factors), identity), terms, scale)
+    return Element(big, {m: Poly(s) for m, s in acc.items()})
 
 
 def mixed_term(n: int, i: int, j: int) -> Element:
@@ -568,7 +615,12 @@ def mixed_term(n: int, i: int, j: int) -> Element:
 
 def enveloping_monomials(n: int, dmax: int):
     """The PBW monomials of U(sl2)^n of degree <= dmax, as tuples of
-    per-factor exponents (a, b, c) of f^a h^b e^c."""
+    per-factor exponents (a, b, c) of f^a h^b e^c.
+
+    The order is that of itertools.product over the single-factor
+    monomials sorted by degree, keeping the tuples within the bound: those
+    of degree <= d are the first C(d+3, 3) singles, so each position
+    ranges over the prefix that the remaining budget allows."""
     singles = [
         (a, b, c)
         for total in range(dmax + 1)
@@ -576,9 +628,15 @@ def enveloping_monomials(n: int, dmax: int):
         for b in range(total - a + 1)
         for c in (total - a - b,)
     ]
-    for combo in itertools.product(singles, repeat=n):
-        if sum(sum(t) for t in combo) <= dmax:
-            yield combo
+
+    def extend(prefix: tuple, budget: int, left: int):
+        if not left:
+            yield prefix
+            return
+        for single in singles[: comb(budget + 3, 3)]:
+            yield from extend(prefix + (single,), budget - sum(single), left - 1)
+
+    yield from extend((), dmax, n)
 
 
 def monomial_basis(alg: Algebra, dmax: int, perms: list[Perm]) -> list[Monomial]:

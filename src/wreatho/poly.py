@@ -87,12 +87,17 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value (see __eq__), so it hashes as one
+        if self.is_constant():
+            return hash(self.terms.get(_ONE_MONO, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other):
+        if not isinstance(other, (int, Fraction, Poly)):
+            return NotImplemented
         other = Poly.coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -106,9 +111,13 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, (int, Fraction, Poly)):
+            return NotImplemented
         return self + (-Poly.coerce(other))
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return Poly.coerce(other) + (-self)
 
     def __mul__(self, other):
@@ -117,7 +126,8 @@ class Poly:
             if not c:
                 return Poly()
             return Poly({m: v * c for m, v in self.terms.items()})
-        other = Poly.coerce(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -143,8 +153,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def substitute(self, values: Mapping[str, "Poly | Scalar"]) -> "Poly":

@@ -10,7 +10,10 @@ multiplies with the PBW engine and solves with wreatho.linalg), and the
 Verma-sum weight dimensions check the factorized count and its candidate
 weights (they evaluate the package's CharacterVB), and the separating
 invariants over Fractions check cc_equal's integer scaling (they read
-Gamma's cells from weights.gamma_cells)."""
+Gamma's cells from weights.gamma_cells), and the product-built coproduct
+and antipode calculus check the binomial construction (they multiply with
+the PBW engine).  The matrices on V(d)^n check the PBW products
+themselves: they act with explicit sl2 matrices and never reorder a word."""
 
 from __future__ import annotations
 
@@ -651,3 +654,114 @@ def separating_invariants(gamma: GammaSpec, t) -> tuple:
         else:
             out.extend((v,) for v in vals)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# coproduct and antipode calculus by products
+
+
+def coproduct_pair_by_products(a: Element) -> Element:
+    """Delta of a rank-1 element: each term f^a h^b e^c becomes the product
+    (f1 + f2)^a (h1 + h2)^b (e1 + e2)^c, multiplied out in rank 2."""
+    out_alg = Algebra(2)
+    fsum = out_alg.f(0) + out_alg.f(1)
+    hsum = out_alg.h(0) + out_alg.h(1)
+    esum = out_alg.e(0) + out_alg.e(1)
+    out = out_alg.zero()
+    for (factors, _), coef in a.terms.items():
+        av, bv, cv = factors[0]
+        out = out + (fsum**av) * (hsum**bv) * (esum**cv) * coef
+    return out
+
+
+def m_one_S_delta_by_products(a: Element, i: int, j: int, n: int) -> Element:
+    """(m (1 x S) Delta_{ij})(a) in rank n: every coproduct term
+    (f^a1 h^b1 e^c1) x (f^a2 h^b2 e^c2) becomes the product of
+    f_i^a1 h_i^b1 e_i^c1 and (-1)^{a2+b2+c2} e_j^c2 h_j^b2 f_j^a2."""
+    big = Algebra(n)
+    out = big.zero()
+    for (factors, _), coef in coproduct_pair_by_products(a).terms.items():
+        (a1, b1, c1), (a2, b2, c2) = factors
+        left = (big.f(i) ** a1) * (big.h(i) ** b1) * (big.e(i) ** c1)
+        right = (big.e(j) ** c2) * (big.h(j) ** b2) * (big.f(j) ** a2)
+        out = out + left * right * (coef * (-1) ** (a2 + b2 + c2))
+    return out
+
+
+def enveloping_monomials_by_filtering(n: int, dmax: int) -> list:
+    """Every n-tuple of single-factor monomials (sorted by degree) in
+    itertools.product order, kept when its total degree is <= dmax."""
+    singles = [
+        (a, b, total - a - b)
+        for total in range(dmax + 1)
+        for a in range(total + 1)
+        for b in range(total - a + 1)
+    ]
+    return [
+        combo
+        for combo in itertools.product(singles, repeat=n)
+        if sum(map(sum, combo)) <= dmax
+    ]
+
+
+# ---------------------------------------------------------------------------
+# matrices on V(d)^{(x) n}
+
+
+def _act_rank1(exps, k: int, d: int):
+    """f^a h^b e^c on the basis vector v_k of V(d), as (scalar, index):
+    e v_k = k (d - k) v_{k-1}, h v_k = (d - 1 - 2k) v_k, f v_k = v_{k+1},
+    with v_d = 0.  The letters act right to left."""
+    a, b, c = exps
+    scalar = Fraction(1)
+    for _ in range(c):
+        scalar *= k * (d - k)
+        k -= 1
+    scalar *= (d - 1 - 2 * k) ** b
+    k += a
+    if not scalar or not 0 <= k < d:
+        return Fraction(0), None
+    return scalar, k
+
+
+def representation_matrix(a: Element, d: int) -> dict:
+    """The matrix of a (constant coefficients) on V(d)^{(x) n}, as
+    {(row, column): Fraction} over basis tuples, zeros dropped.
+
+    A monomial (f^a h^b e^c per factor) g first moves the tensor factor at
+    position j to position g(j), then lets factor i's word act on the i-th
+    tensor factor; so g x_j g^{-1} acts as x_{g(j)}.
+    """
+    n = a.algebra.n
+    out: dict = {}
+    for column in itertools.product(range(d), repeat=n):
+        for (factors, perm), coef in a.terms.items():
+            row = [0] * n
+            for j, k in enumerate(column):
+                row[perm[j]] = k
+            scalar = coef.constant_value()
+            for i, exps in enumerate(factors):
+                s, row[i] = _act_rank1(exps, row[i], d)
+                scalar *= s
+                if not scalar:
+                    break
+            if scalar:
+                key = (tuple(row), column)
+                out[key] = out.get(key, Fraction(0)) + scalar
+    return {key: v for key, v in out.items() if v}
+
+
+def matrix_product(x: dict, y: dict) -> dict:
+    """The product of two sparse matrices {(row, column): Fraction}."""
+    rows_of_y: dict = {}
+    for (r, c), v in y.items():
+        rows_of_y.setdefault(r, []).append((c, v))
+    out: dict = {}
+    for (r, m), v in x.items():
+        for c, w in rows_of_y.get(m, ()):
+            out[(r, c)] = out.get((r, c), Fraction(0)) + v * w
+    return {key: v for key, v in out.items() if v}
+
+
+def identity_matrix(n: int, d: int) -> dict:
+    return {(k, k): Fraction(1) for k in itertools.product(range(d), repeat=n)}

@@ -41,6 +41,27 @@ class TestDeformedRHS:
         assert rhs[(0, 0)] == expected
 
 
+class TestFOfCasimir:
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [],
+            [F(0)],
+            [F(3)],
+            [F(5), F(-2), F(1)],
+            [0, 0, 0, F(1, 2)],
+            [Poly.var("t0"), 0, Poly.var("t2") + 1, 0, 0],
+        ],
+    )
+    def test_matches_powers_of_omega(self, coeffs):
+        alg = Algebra(2)
+        omega = alg.casimir(1)
+        expected = alg.zero()
+        for k, coef in enumerate(coeffs):
+            expected = expected + (omega**k) * Poly.coerce(coef)
+        assert f_of_casimir(alg, 1, coeffs) == expected
+
+
 class TestObstruction:
     def test_witness_coefficient_multiple_of_c(self):
         spec = DeformationSpec(n=2, f_coeffs=[F(0), F(1)])

@@ -6,10 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_strategies import CHAR_COORD, gamma_specs, pooled_weights
-from oracles import center_basis_full_ansatz, separating_invariants
+from oracles import (
+    center_basis_full_ansatz,
+    coproduct_pair_by_products,
+    enveloping_monomials_by_filtering,
+    identity_matrix,
+    m_one_S_delta_by_products,
+    matrix_product,
+    representation_matrix,
+    separating_invariants,
+)
 from wreatho.linalg import in_row_space
 from wreatho.pbw import (
     Algebra,
+    Element,
+    _mul_rank1,
     anti_involution,
     cc_equal,
     center_basis_up_to_degree,
@@ -19,6 +30,7 @@ from wreatho.pbw import (
     coproduct_pair,
     element_from_json,
     element_to_json,
+    enveloping_monomials,
     gamma_twist,
     group_algebra_conjugate,
     hc_projection,
@@ -40,6 +52,28 @@ def rand_element(alg, rng, with_group=False, length=3):
             i, j = rng.sample(range(alg.n), 2)
             term = term * alg.transposition(i, j)
         out = out + term
+    return out
+
+
+FACTOR_EXP = st.tuples(*[st.integers(0, 2)] * 3)
+SMALL_FACTOR_EXP = st.tuples(*[st.integers(0, 1)] * 3)
+FRACTIONS = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def elements(draw, n, symbolic=False, max_terms=3, exps=FACTOR_EXP):
+    """An element of rank n with up to max_terms terms, per-factor exponents
+    drawn from exps, random group parts and Fraction coefficients, some of
+    them symbolic in t0..t2 when symbolic is set."""
+    alg = Algebra(n)
+    out = alg.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        factors = tuple(draw(st.lists(exps, min_size=n, max_size=n)))
+        perm = tuple(draw(st.permutations(range(n))))
+        coef = Poly.const(draw(FRACTIONS))
+        if symbolic and draw(st.booleans()):
+            coef = coef + Poly.var(f"t{draw(st.integers(0, 2))}") * draw(FRACTIONS)
+        out = out + Element(alg, {(factors, perm): coef})
     return out
 
 
@@ -247,6 +281,133 @@ class TestCoproduct:
             coproduct_pair(Algebra(2).e(0))
         with pytest.raises(ValueError):
             coproduct_pair(Algebra(2).transposition(0, 1))
+
+
+class TestDirectCoproduct:
+    """The binomial coproduct and the antipode calculus built without
+    products agree with the product-built oracles."""
+
+    @given(elements(1, symbolic=True, max_terms=4))
+    @settings(max_examples=60)
+    def test_coproduct_matches_products(self, a):
+        assert coproduct_pair(a) == coproduct_pair_by_products(a)
+
+    @given(
+        elements(1, symbolic=True, max_terms=4),
+        st.sampled_from([(0, 1, 2), (1, 0, 2), (0, 2, 3), (2, 1, 3), (1, 2, 3)]),
+    )
+    @settings(max_examples=60)
+    def test_antipode_calculus_matches_products(self, a, legs):
+        i, j, n = legs
+        assert m_one_S_delta(a, i, j, n) == m_one_S_delta_by_products(a, i, j, n)
+
+    def test_casimir_matches_products(self):
+        omega = Algebra(1).casimir(0)
+        assert coproduct_pair(omega) == coproduct_pair_by_products(omega)
+        assert m_one_S_delta(omega, 2, 0, 3) == m_one_S_delta_by_products(
+            omega, 2, 0, 3
+        )
+
+
+class TestEnvelopingMonomials:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("dmax", range(6))
+    def test_order_of_filtered_product(self, n, dmax):
+        assert list(enveloping_monomials(n, dmax)) == (
+            enveloping_monomials_by_filtering(n, dmax)
+        )
+
+
+class TestRepresentationOracle:
+    """rho: U(sl2)^n x| S_n -> End(V(d)^n) is a homomorphism, checked with
+    explicit sl2 matrices and tensor-factor permutations."""
+
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(elements(n), elements(n))),
+        st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=60)
+    def test_products(self, pair, d):
+        a, b = pair
+        assert representation_matrix(a * b, d) == matrix_product(
+            representation_matrix(a, d), representation_matrix(b, d)
+        )
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: elements(n, max_terms=2, exps=SMALL_FACTOR_EXP)
+        ),
+        st.integers(0, 3),
+        st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=30)
+    def test_powers(self, a, k, d):
+        rho = representation_matrix(a, d)
+        expected = identity_matrix(a.algebra.n, d)
+        for _ in range(k):
+            expected = matrix_product(expected, rho)
+        assert representation_matrix(a**k, d) == expected
+
+    def test_defining_relations(self):
+        alg = Algebra(2)
+        e, f, h = alg.e(0), alg.f(0), alg.h(0)
+        for d in (2, 3, 4):
+            rho = dict(zip("efh", (representation_matrix(x, d) for x in (e, f, h))))
+            ef = matrix_product(rho["e"], rho["f"])
+            fe = matrix_product(rho["f"], rho["e"])
+            bracket = {k: ef.get(k, 0) - fe.get(k, 0) for k in set(ef) | set(fe)}
+            assert {k: v for k, v in bracket.items() if v} == rho["h"]
+
+
+class TestCoefficientTypes:
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda n: st.tuples(
+                elements(n, symbolic=True, max_terms=2, exps=SMALL_FACTOR_EXP),
+                elements(n, symbolic=True, max_terms=2, exps=SMALL_FACTOR_EXP),
+            )
+        ),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=40)
+    def test_products_and_powers_store_fractions(self, pair, k):
+        a, b = pair
+        for x in (a * b, a**k, b * F(1, 2), a * 3):
+            for poly in x.terms.values():
+                assert all(type(c) is F for c in poly.terms.values())
+
+    @given(FACTOR_EXP, FACTOR_EXP)
+    @settings(max_examples=100)
+    def test_structure_constants_are_ints(self, m1, m2):
+        assert all(type(v) is int for v in _mul_rank1(m1, m2).values())
+
+
+class TestScalarOperands:
+    @pytest.mark.parametrize("other", [0.5, "x"])
+    def test_non_exact_operands_raise_type_error(self, other):
+        x = Algebra(1).e(0)
+        for op in (
+            lambda: x * other,
+            lambda: other * x,
+            lambda: x + other,
+            lambda: other + x,
+            lambda: x - other,
+            lambda: other - x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_exact_operands_on_both_sides(self):
+        alg = Algebra(1)
+        x = alg.e(0)
+        half = F(1, 2)
+        assert half * x == x * half
+        assert 2 + x == x + 2
+        assert 1 - x == -(x - 1)
+        t = Poly.var("t0")
+        assert t * x == x * t
+        assert t + x == x + t
+        assert t - x == -(x - t)
 
 
 class TestAntipodeCalculus:
