@@ -11,7 +11,6 @@ from .cato_a import (
     verma_factors_sl2,
 )
 from .clifford import (
-    CObject,
     SimpleX,
     classify_X_over,
     decompose_induced,

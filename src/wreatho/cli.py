@@ -16,7 +16,6 @@ import click
 from .clifford import classify_X_over, dim_m, simplex_to_json
 from .obstruction import DeformationSpec, verify_no_go
 from .pbw import Algebra, cc_equal, element_to_json, parse_expr
-from .selftest import run_selftest
 from .skew_o import (
     block_matrices,
     dim_simple_skew,
@@ -285,6 +284,9 @@ def appendix(rank, f_text, wdeg):
 @click.option("--seed", default=20240901, show_default=True, type=int)
 def selftest(seed):
     """Run the seeded invariant suites."""
+    # imported here so that other commands do not load the suites
+    from .selftest import run_selftest
+
     results = run_selftest(seed)
     failed = [r for r in results if not r[1]]
     for name, ok, detail in results:

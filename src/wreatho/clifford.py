@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import symchars
 from .symchars import (
     Irrep,
+    check_irrep,
     dual_irrep,
     irrep_dim,
     irrep_labels,
@@ -62,12 +63,11 @@ class SimpleX:
 
 
 def validate_simplex(gamma: GammaSpec, x: SimpleX) -> None:
+    check_irrep(x.stab, x.irrep)  # first: the messages below print the labels
     if x.orbit_rep != canonical_orbit_rep(gamma, x.orbit_rep):
         raise ValueError(f"{x} orbit representative is not canonical")
     if x.stab != stabilizer(gamma, x.orbit_rep):
         raise ValueError(f"{x} carries the wrong stabilizer")
-    if len(x.irrep) != len(x.stab.factors):
-        raise ValueError(f"{x} irrep labels do not match the stabilizer")
 
 
 def orbit_size(gamma: GammaSpec, x: SimpleX) -> int:
@@ -136,52 +136,24 @@ def _factor_key(gamma: GammaSpec, weight: Weight, f) -> tuple:
     return ("C", cell, f.order)
 
 
-class CObject:
-    """A finitely supported multiset of simples with multiplicities."""
-
-    def __init__(self, terms=None):
-        self.terms: dict[SimpleX, int] = {}
-        if terms:
-            for x, m in dict(terms).items():
-                self.add(x, m)
-
-    def add(self, x: SimpleX, mult: int = 1) -> None:
-        if mult < 0:
-            raise ValueError("multiplicities are nonnegative")
-        if mult:
-            self.terms[x] = self.terms.get(x, 0) + mult
-
-    def __getitem__(self, x: SimpleX) -> int:
-        return self.terms.get(x, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, CObject) and self.terms == other.terms
-
-    def __iter__(self):
-        return iter(sorted(self.terms, key=SimpleX.sort_key))
-
-    def items(self):
-        return [(x, self.terms[x]) for x in self]
-
-    def __repr__(self):
-        return " + ".join(
-            (f"{m}*" if m != 1 else "") + repr(x) for x, m in self.items()
-        ) or "0"
-
-
 def decompose_induced(
     gamma: GammaSpec, lam: Weight, from_stab: GroupDesc, carried: Irrep
-) -> CObject:
+) -> dict[SimpleX, int]:
     """Decompose Ind_{from_stab}^{Stab(lam)}(carried) into simples over the
-    orbit of lam."""
+    orbit of lam: {simple: multiplicity}, nonzero multiplicities only.
+
+    This is Clifford theory's statement that a simple over the orbit is
+    named by an irrep of the stabilizer, with the multiplicities given by
+    Frobenius reciprocity.
+    """
     stab = stabilizer(gamma, lam)
     if not is_subgroup(from_stab, stab):
         raise ValueError("from_stab is not contained in the weight stabilizer")
-    out = CObject()
+    out = {}
     for irr in list_irreps(stab):
         mult = symchars.induce_restrict_mult(from_stab, carried, stab, irr)
         if mult:
-            out.add(transport_irrep(gamma, lam, stab, irr), mult)
+            out[transport_irrep(gamma, lam, stab, irr)] = mult
     return out
 
 
@@ -231,10 +203,9 @@ def simplex_to_json(gamma: GammaSpec, x: SimpleX) -> dict:
 
 
 def simplex_from_json(gamma: GammaSpec, data: dict) -> SimpleX:
-    """Rebuild a SimpleX; the stabilizer is rederived from the orbit rep."""
+    """Rebuild a SimpleX; the orbit rep is made canonical, the stabilizer is
+    rederived from it and the labels are checked against it."""
     rep = tuple(Fraction(c) for c in data["orbit_rep"])
     rep = canonical_orbit_rep(gamma, rep)
     stab = stabilizer(gamma, rep)
-    x = SimpleX(rep, stab, parse_irrep_labels(stab, data["irrep"]))
-    validate_simplex(gamma, x)
-    return x
+    return SimpleX(rep, stab, parse_irrep_labels(stab, data["irrep"]))

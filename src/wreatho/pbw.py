@@ -374,16 +374,12 @@ def hc_projection(a: Element) -> Element:
 
 
 def _eval_h_monomial(lam, factors) -> "Poly | Fraction":
-    value = Fraction(1)
-    result = None
+    result = Fraction(1)
     for coord, (a, b, c) in zip(lam, factors):
         if a or c:
             raise ValueError("not a pure h monomial")
         if b:
-            piece = coord**b if isinstance(coord, Poly) else Fraction(coord) ** b
-            result = piece if result is None else result * piece
-    if result is None:
-        return value
+            result *= coord**b if isinstance(coord, Poly) else Fraction(coord) ** b
     return result
 
 
@@ -413,14 +409,7 @@ def central_character(
         term = coef * _eval_h_monomial(lam, factors)
         prev = out.get(perm)
         out[perm] = term if prev is None else prev + term
-    cleaned = {}
-    for perm, val in out.items():
-        if isinstance(val, Poly):
-            if not val.is_zero():
-                cleaned[perm] = val
-        elif val:
-            cleaned[perm] = val
-    return cleaned
+    return {perm: val for perm, val in out.items() if val}
 
 
 def central_character_numeric(gamma: GammaSpec, lam: Weight, r: Element) -> dict:

@@ -68,14 +68,6 @@ class Poly:
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get(_ONE_MONO, Fraction(0))
 
-    def variables(self) -> set:
-        return {name for mono in self.terms for name, _ in mono}
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
     def __bool__(self):
         return bool(self.terms)
 

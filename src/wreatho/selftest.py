@@ -179,7 +179,7 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
             x = classify_X_over(gamma, lam)[0]
             lhs = ch_verma_skew(gamma, x)
             rhs = None
-            for y, mult in verma_decompose_skew(gamma, x).terms.items():
+            for y, mult in verma_decompose_skew(gamma, x).items():
                 term = ch_simple_skew(gamma, y).scale(mult)
                 rhs = term if rhs is None else rhs + term
             _require(lhs == rhs)

@@ -28,7 +28,6 @@ from .cato_a import (
     s_sets_A,
 )
 from .clifford import (
-    CObject,
     SimpleX,
     classify_X_over,
     concat_simplex,
@@ -36,10 +35,11 @@ from .clifford import (
     dim_m,
     duality_F,
     orbit_size,
+    simplex_to_json,
     transport_irrep,
     validate_simplex,
 )
-from .symchars import dual_irrep, irrep_dim, list_irreps, restricted_inner_product
+from .symchars import irrep_dim, list_irreps, restricted_inner_product
 from .weights import (
     GammaSpec,
     InternalConsistencyError,
@@ -74,19 +74,14 @@ def partial_order_X(gamma: GammaSpec, x1: SimpleX, x2: SimpleX) -> str:
     return "incomparable"
 
 
-def _block_sort_key(gamma: GammaSpec):
+def _block_sort_key(x: SimpleX):
     """Sort key realizing "x_i >= x_j implies i <= j".
 
     Coordinate sums strictly decrease along the strict order and are
     orbit-invariant, so descending sum is a valid linear extension; ties
     break by the canonical SimpleX key.
     """
-
-    def key(x: SimpleX):
-        total = sum(x.orbit_rep, Fraction(0))
-        return (-total, x.sort_key())
-
-    return key
+    return (-sum(x.orbit_rep, Fraction(0)), x.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +115,22 @@ def _flip_layer_choices(gamma: GammaSpec, lam: Weight):
                 yield frozenset(t_set), stabilizer(gamma, marked)
 
 
-def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> CObject:
-    """Composition multiplicities [Z(x) : V(x')] via the flip-layer count.
+def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> dict[SimpleX, int]:
+    """Composition multiplicities [Z(x) : V(x')] via the flip-layer count,
+    as {x': multiplicity} with nonzero multiplicities only.
 
     The built-in restriction check equates the total restricted length with
     dimM(x) * length of the plain Verma; a mismatch raises.  Each call
-    returns a fresh CObject, so callers may mutate it.
+    returns a fresh dict, so callers may mutate it.
     """
-    return CObject(dict(_verma_decompose_terms(gamma, x)))
+    return dict(_verma_decompose_terms(gamma, x))
 
 
 @lru_cache(maxsize=None)
 def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
     validate_simplex(gamma, x)
     lam = x.orbit_rep
-    out = CObject()
+    out: dict[SimpleX, int] = {}
     for t_set, stab_t in _flip_layer_choices(gamma, lam):
         nu = flip_subset(lam, t_set)
         stab_nu = stabilizer(gamma, nu)
@@ -143,17 +139,18 @@ def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
                 stab_t, x.stab, x.irrep, stab_nu, n_prime
             )
             if mult:
-                out.add(transport_irrep(gamma, nu, stab_nu, n_prime), mult)
+                y = transport_irrep(gamma, nu, stab_nu, n_prime)
+                out[y] = out.get(y, 0) + mult
     expected = dim_m(gamma, x) * length_Z_A(lam)
     actual = sum(
         m * orbit_size(gamma, y) * irrep_dim(y.stab, y.irrep)
-        for y, m in out.terms.items()
+        for y, m in out.items()
     )
     if actual != expected:
         raise InternalConsistencyError(
             f"restricted length {actual} != {expected} for {x}"
         )
-    return tuple(out.terms.items())
+    return tuple(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +182,9 @@ def s4_skew(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
 
 def _closure(gamma: GammaSpec, x: SimpleX, with_duality: bool) -> set[SimpleX]:
     universe = s3_skew(gamma, x)
-    decomps = {y: verma_decompose_skew(gamma, y) for y in universe}
     adjacency: dict[SimpleX, set[SimpleX]] = {y: set() for y in universe}
-    for y, dec in decomps.items():
-        for z in dec.terms:
+    for y in universe:
+        for z in verma_decompose_skew(gamma, y):
             if z != y:
                 adjacency[y].add(z)
                 adjacency[z].add(y)
@@ -233,8 +229,6 @@ class BlockData:
     Cprime: list  # modified Cartan matrix C F; always symmetric
 
     def to_json(self) -> dict:
-        from .clifford import simplex_to_json
-
         return {
             "gamma": str(self.gamma),
             "order": [simplex_to_json(self.gamma, x) for x in self.order],
@@ -278,12 +272,12 @@ def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
     C'[i][j] = C[i][sigma(j)].  D must be unitriangular, sigma an involution
     and C' exactly symmetric; otherwise an InternalConsistencyError is raised.
     """
-    xs = sorted(s3_skew(gamma, x), key=_block_sort_key(gamma))
+    xs = sorted(s3_skew(gamma, x), key=_block_sort_key)
     index = {y: i for i, y in enumerate(xs)}
     k = len(xs)
     D = [[0] * k for _ in range(k)]
     for i, y in enumerate(xs):
-        for z, mult in verma_decompose_skew(gamma, y).terms.items():
+        for z, mult in verma_decompose_skew(gamma, y).items():
             D[i][index[z]] = mult
     for i in range(k):
         if D[i][i] != 1:
@@ -438,18 +432,6 @@ def simples_over_four_setups(gamma: GammaSpec, lams: list[Weight]):
     return lams, per_block_simples, big_weight, product_list
 
 
-def _apply_f_eps(gamma: GammaSpec, x: SimpleX, eps: tuple) -> SimpleX:
-    """Blockwise duality twist F^eps on a simple over the concatenation."""
-    spans = gamma.block_spans()
-    labels = []
-    for f, label, dual in zip(x.stab.factors, x.irrep, dual_irrep(x.stab, x.irrep)):
-        block = next(
-            b for b, (lo, hi) in enumerate(spans) if lo <= f.positions[0] < hi
-        )
-        labels.append(dual if eps[block] else label)
-    return SimpleX(x.orbit_rep, x.stab, tuple(labels))
-
-
 @dataclass
 class CoverReport:
     hypothesis_holds: bool
@@ -458,16 +440,6 @@ class CoverReport:
     cover: dict  # eps -> component (only when the hypothesis holds)
     chain_ok: bool  # S'(x) in prod S'_j in S^3(x) in prod S^3_j
     equality: bool
-
-    def to_json(self) -> dict:
-        return {
-            "hypothesis_holds": self.hypothesis_holds,
-            "equality": self.equality,
-            "chain_ok": self.chain_ok,
-            "product_size": len(self.product_set),
-            "union_size": len(self.union_set),
-            "cover_sizes": {str(k): len(v) for k, v in self.cover.items()},
-        }
 
 
 def s3_product_cover(gamma: GammaSpec, xs: list[SimpleX]) -> CoverReport:
@@ -499,13 +471,14 @@ def s3_product_cover(gamma: GammaSpec, xs: list[SimpleX]) -> CoverReport:
         key=SimpleX.sort_key,
     )
     big_x = concat_simplex(gammas, xs)
-    n_blocks = len(gammas)
     cover = {}
     union: set[SimpleX] = set()
-    for eps in itertools.product((0, 1), repeat=n_blocks):
+    for eps in itertools.product((0, 1), repeat=len(gammas)):
         if eps and eps[0] == 1:
             continue  # quotient by the diagonal flip
-        twisted = _apply_f_eps(gamma, big_x, eps)
+        twisted = concat_simplex(
+            gammas, [duality_F(xj) if e else xj for e, xj in zip(eps, xs)]
+        )
         comp = s3_component(gamma, twisted)
         cover[eps] = comp
         union.update(comp)

@@ -257,13 +257,36 @@ def irrep_labels(desc: GroupDesc, irrep: Irrep) -> list[str]:
     ]
 
 
+def check_irrep(desc: GroupDesc, irrep: Irrep) -> Irrep:
+    """Return irrep if it names an irrep of desc: one label per factor, a
+    partition of the factor's size or a residue in 0..order-1.  Raises
+    ValueError otherwise."""
+    if len(irrep) != len(desc.factors):
+        raise ValueError(f"{len(irrep)} irrep labels for {len(desc.factors)} factors")
+    for f, label in zip(desc.factors, irrep):
+        if isinstance(f, SymF):
+            allowed = partitions_of(len(f.positions))
+        else:
+            allowed = range(f.order)
+        if label not in allowed:
+            raise ValueError(f"irrep label {label!r} names no irrep of {f}")
+    return irrep
+
+
 def parse_irrep_labels(desc: GroupDesc, texts: Sequence[str]) -> Irrep:
-    """Inverse of `irrep_labels`."""
-    return tuple(
-        tuple(int(p) for p in text.split(",")) if isinstance(f, SymF)
-        else int(text.split("=")[1])
-        for f, text in zip(desc.factors, texts)
-    )
+    """Inverse of `irrep_labels`; raises ValueError on malformed text and on
+    labels that name no irrep of desc."""
+    if len(texts) != len(desc.factors):
+        raise ValueError(f"{len(texts)} irrep labels for {len(desc.factors)} factors")
+    labels = []
+    for f, text in zip(desc.factors, texts):
+        if isinstance(f, SymF):
+            labels.append(tuple(int(p) for p in text.split(",")))
+        elif text.startswith("j="):
+            labels.append(int(text[2:]))
+        else:
+            raise ValueError(f"cyclic irrep label {text!r} is not j=<residue>")
+    return check_irrep(desc, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gamma_strategies import gamma_specs, pooled_weights
 from wreatho.clifford import (
-    CObject,
     SimpleX,
     classify_X_over,
     concat_simplex,
@@ -18,6 +17,7 @@ from wreatho.clifford import (
     duality_F,
     simplex_from_json,
     simplex_to_json,
+    validate_simplex,
     weight_mult,
 )
 from wreatho.symchars import irrep_dim
@@ -124,7 +124,7 @@ class TestDecomposeInduced:
         trivial = GroupDesc(2, ())
         out = decompose_induced(gamma, lam, trivial, ())
         xs = classify_X_over(gamma, lam)
-        assert out == CObject({xs[0]: 1, xs[1]: 1})
+        assert out == {xs[0]: 1, xs[1]: 1}
 
     def test_identity_decomposition(self):
         gamma = parse_gamma("S:3")
@@ -133,14 +133,14 @@ class TestDecomposeInduced:
         full = xs[0].stab
         for x in xs:
             out = decompose_induced(gamma, lam, full, x.irrep)
-            assert out == CObject({x: 1})
+            assert out == {x: 1}
 
     def test_regular_cyclic(self):
         gamma = parse_gamma("C:3")
         lam = w(2, 2, 2)
         out = decompose_induced(gamma, lam, GroupDesc(3, ()), ())
-        assert sorted(m for m in out.terms.values()) == [1, 1, 1]
-        assert len(out.terms) == 3
+        assert sorted(m for m in out.values()) == [1, 1, 1]
+        assert len(out) == 3
 
     def test_containment_checked(self):
         gamma = parse_gamma("S:2")
@@ -184,6 +184,32 @@ class TestJson:
             for x in classify_X_over(gamma, lam):
                 data = simplex_to_json(gamma, x)
                 assert simplex_from_json(gamma, data) == x
+
+
+    @pytest.mark.parametrize(
+        "spec, coords, labels",
+        [
+            ("C:3", ["0", "0", "0"], ["j=7"]),
+            ("C:3", ["0", "0", "0"], ["j=-1"]),
+            ("C:3", ["0", "0", "0"], ["7"]),
+            ("C:3", ["0", "0", "0"], ["k=1"]),
+            ("S:2", ["0", "0"], ["3"]),
+            ("S:2", ["0", "0"], ["1"]),
+            ("S:2", ["0", "0"], ["2", "2"]),
+            ("S:2", ["1", "0"], ["2"]),
+        ],
+    )
+    def test_rejects_labels_naming_no_irrep(self, spec, coords, labels):
+        with pytest.raises(ValueError):
+            simplex_from_json(parse_gamma(spec), {"orbit_rep": coords, "irrep": labels})
+
+    def test_validate_rejects_hand_built_labels(self):
+        gamma = parse_gamma("S:2")
+        x = classify_X_over(gamma, w(0, 0))[0]
+        for bad in [((3,),), ((1,),), (2,), ()]:
+            with pytest.raises(ValueError):
+                validate_simplex(gamma, SimpleX(x.orbit_rep, x.stab, bad))
+        validate_simplex(gamma, x)
 
 
 def _generated_hash(obj):

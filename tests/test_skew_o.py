@@ -9,6 +9,7 @@ from gamma_strategies import gamma_specs, pooled_weights
 from oracles import char_rows_by_evaluation, oracle_decompose
 from wreatho.cato_a import CharacterVB, ch_simple_A, length_Z_A
 from wreatho.clifford import (
+    SimpleX,
     classify_X_over,
     dim_m,
     duality_F,
@@ -72,27 +73,33 @@ class TestVermaDecompose:
         out = verma_decompose_skew(S2, xs[0])
         mid = classify_X_over(S2, w(-2, 0))[0]
         bottom_triv = classify_X_over(S2, w(-2, -2))[0]
-        assert dict(out.terms) == {xs[0]: 1, mid: 1, bottom_triv: 1}
+        assert out == {xs[0]: 1, mid: 1, bottom_triv: 1}
 
     def test_s2_sign_over_00(self):
         xs = classify_X_over(S2, w(0, 0))
         out = verma_decompose_skew(S2, xs[1])
         mid = classify_X_over(S2, w(-2, 0))[0]
         bottom_sign = classify_X_over(S2, w(-2, -2))[1]
-        assert dict(out.terms) == {xs[1]: 1, mid: 1, bottom_sign: 1}
+        assert out == {xs[1]: 1, mid: 1, bottom_sign: 1}
 
     def test_result_is_a_fresh_copy(self):
         xs = classify_X_over(S2, w(0, 0))
         first = verma_decompose_skew(S2, xs[0])
-        expected = dict(first.terms)
-        first.add(xs[1], 7)
-        first.terms[xs[0]] = 5
-        assert dict(verma_decompose_skew(S2, xs[0]).terms) == expected
+        expected = dict(first)
+        first[xs[1]] = 7
+        first[xs[0]] = 5
+        assert verma_decompose_skew(S2, xs[0]) == expected
+
+    def test_rejects_a_label_naming_no_irrep(self):
+        # a hand-built simple on C:3 at 0,0,0 with residue 7
+        x = classify_X_over(C3, w(0, 0, 0))[0]
+        with pytest.raises(ValueError):
+            verma_decompose_skew(C3, SimpleX(x.orbit_rep, x.stab, (7,)))
 
     def test_simple_verma(self):
         x = classify_X_over(S2, w(-3, F(-1, 2)))[0]
         out = verma_decompose_skew(S2, x)
-        assert dict(out.terms) == {x: 1}
+        assert out == {x: 1}
 
     def test_restriction_accounting(self):
         rng = random.Random(31)
@@ -104,7 +111,7 @@ class TestVermaDecompose:
                 out = verma_decompose_skew(gamma, x)  # internal check runs too
                 total = sum(
                     m * (gamma.group().order // y.stab.order) * irrep_dim(y.stab, y.irrep)
-                    for y, m in out.terms.items()
+                    for y, m in out.items()
                 )
                 assert total == dim_m(gamma, x) * length_Z_A(lam)
 
@@ -124,7 +131,7 @@ class TestVermaDecompose:
                     continue
                 depth = int(2 * max(max(c for c in mu) for mu in orbit_of(gamma, lam)) + 2 * gamma.n + 2)
                 got = oracle_decompose(gamma, x, depth=max(depth, 4))
-                assert got == dict(verma_decompose_skew(gamma, x).terms), (gamma, x)
+                assert got == verma_decompose_skew(gamma, x), (gamma, x)
 
     def test_positivity_matches_plain_factors(self):
         # some x' over mu occurs in Z(x) iff mu occurs in some plain Verma
@@ -139,7 +146,7 @@ class TestVermaDecompose:
             lam = tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n))
             for x in classify_X_over(gamma, lam):
                 skew_orbits = {
-                    y.orbit_rep for y in verma_decompose_skew(gamma, x).terms
+                    y.orbit_rep for y in verma_decompose_skew(gamma, x)
                 }
                 plain_orbits = set()
                 for mu_top in orbit_of(gamma, lam):
@@ -184,7 +191,7 @@ class TestVermaDecompose:
             predicted: dict = {}
             for x in classify_X_over(gamma, lam):
                 reg_mult = irrep_dim(x.stab, x.irrep)
-                for y, mult in verma_decompose_skew(gamma, x).terms.items():
+                for y, mult in verma_decompose_skew(gamma, x).items():
                     dim_y = irrep_dim(y.stab, y.irrep)
                     for mu in orbit_of(gamma, y.orbit_rep):
                         predicted[mu] = (
@@ -224,7 +231,7 @@ class TestVermaDecompose:
                 if irrep_dim(x.stab, x.irrep) != 1:
                     continue
                 got = oracle_decompose(gamma, x, depth=depth)
-                assert got == dict(verma_decompose_skew(gamma, x).terms), (gamma, lam, x)
+                assert got == verma_decompose_skew(gamma, x), (gamma, lam, x)
             done += 1
 
     def test_duality_equivariance_of_decomposition(self):
@@ -234,10 +241,10 @@ class TestVermaDecompose:
             gamma = parse_gamma(rng.choice([f"S:{n}", f"C:{n}"]))
             lam = tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n))
             for x in classify_X_over(gamma, lam):
-                direct = verma_decompose_skew(gamma, duality_F(x)).terms
+                direct = verma_decompose_skew(gamma, duality_F(x))
                 twisted = {
                     duality_F(y): m
-                    for y, m in verma_decompose_skew(gamma, x).terms.items()
+                    for y, m in verma_decompose_skew(gamma, x).items()
                 }
                 assert direct == twisted
 
@@ -248,7 +255,7 @@ class TestVermaDecompose:
             gamma = parse_gamma(rng.choice([f"S:{n}", f"C:{n}"]))
             lam = tuple(F(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(n))
             for x in classify_X_over(gamma, lam):
-                for y in verma_decompose_skew(gamma, x).terms:
+                for y in verma_decompose_skew(gamma, x):
                     assert partial_order_X(gamma, x, y) in ("greater", "equal", "incomparable")
                     assert partial_order_X(gamma, y, x) != "greater"
 
@@ -485,7 +492,7 @@ class TestCharactersAndDims:
             for x in classify_X_over(gamma, lam):
                 lhs = ch_verma_skew(gamma, x)
                 rhs = CharacterVB(gamma.n)
-                for y, mult in verma_decompose_skew(gamma, x).terms.items():
+                for y, mult in verma_decompose_skew(gamma, x).items():
                     rhs = rhs + ch_simple_skew(gamma, y).scale(mult)
                 assert lhs == rhs
 
@@ -506,6 +513,25 @@ def _finite_cases(draw):
     simples = classify_X_over(gamma, lam)
     x = simples[draw(st.integers(0, len(simples) - 1))]
     return gamma, x, int(sum(lam)) + draw(st.integers(0, 1))
+
+
+@st.composite
+def _simple_cases(draw):
+    gamma = draw(gamma_specs())
+    simples = classify_X_over(gamma, draw(pooled_weights(gamma)))
+    return gamma, simples[draw(st.integers(0, len(simples) - 1))]
+
+
+class TestVermaCharacter:
+    @settings(max_examples=80)
+    @given(_simple_cases())
+    def test_ch_verma_is_D_row_times_ch_simple(self, case):
+        # ch Z(x) = sum_y D[x][y] ch V(y), on multi-block specs as well
+        gamma, x = case
+        rhs = CharacterVB(gamma.n)
+        for y, mult in verma_decompose_skew(gamma, x).items():
+            rhs = rhs + ch_simple_skew(gamma, y).scale(mult)
+        assert ch_verma_skew(gamma, x) == rhs
 
 
 class TestWeightDims:

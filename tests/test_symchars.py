@@ -15,13 +15,16 @@ from wreatho.symchars import (
     char_value,
     class_size,
     dim_irrep,
+    check_irrep,
     induce_restrict_mult,
     irrep_dim,
+    irrep_labels,
     list_irreps,
+    parse_irrep_labels,
     partitions_of,
     restricted_inner_product,
 )
-from wreatho.weights import CycF, GroupDesc, SymF, flip_subset, stabilizer
+from wreatho.weights import CycF, GroupDesc, SymF, flip_subset, parse_gamma, stabilizer
 
 
 class TestCharValues:
@@ -232,3 +235,39 @@ class TestRestrictedInnerProduct:
                 assert total == index * irrep_dim(stab, irrep1), (
                     gamma, lam, t_set, irrep1,
                 )
+
+
+class TestIrrepLabels:
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_round_trip(self, data):
+        gamma = data.draw(gamma_specs())
+        stab = stabilizer(gamma, data.draw(pooled_weights(gamma)))
+        for irrep in list_irreps(stab):
+            assert check_irrep(stab, irrep) == irrep
+            assert parse_irrep_labels(stab, irrep_labels(stab, irrep)) == irrep
+
+    @pytest.mark.parametrize(
+        "spec, labels",
+        [
+            ("C:3", ["j=3"]),
+            ("C:3", ["j=-1"]),
+            ("C:3", ["2"]),
+            ("C:3", ["i=1"]),
+            ("C:3", ["j="]),
+            ("C:3", ["j=x"]),
+            ("C:3", []),
+            ("C:3", ["j=0", "j=0"]),
+            ("S:2", ["3"]),
+            ("S:2", ["1,1,1"]),
+            ("S:2", ["0,2"]),
+            ("S:2", ["1,2"]),
+            ("S:2", [""]),
+            ("S:2", ["j=1"]),
+        ],
+    )
+    def test_rejects_text_naming_no_irrep(self, spec, labels):
+        gamma = parse_gamma(spec)
+        stab = stabilizer(gamma, tuple(Fraction(0) for _ in range(gamma.n)))
+        with pytest.raises(ValueError):
+            parse_irrep_labels(stab, labels)
