@@ -15,6 +15,7 @@ from fractions import Fraction
 from .weights import (
     Weight,
     as_weight,
+    coord,
     flip_coord,
     flip_subset,
     integral_flip_positions,
@@ -30,7 +31,7 @@ def verma_factors_sl2(lam: Fraction) -> list[tuple[Fraction, int]]:
     [(lam,1)] when lam is not a nonnegative integer, else the extra factor
     at the flipped weight -lam-2.
     """
-    lam = Fraction(lam)
+    lam = coord(lam)
     if lam.denominator == 1 and lam >= 0:
         return [(lam, 1), (flip_coord(lam), 1)]
     return [(lam, 1)]
@@ -161,7 +162,7 @@ class CharacterVB:
         terms = {}
         rank = None
         for t in data["terms"]:
-            hw = tuple(Fraction(c) for c in t["hw"])
+            hw = tuple(coord(c) for c in t["hw"])
             rank = len(hw)
             terms[hw] = int(t["coef"])
         if rank is None:

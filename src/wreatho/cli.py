@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -30,6 +31,42 @@ def _fail(message: str, **extra):
     payload.update(extra)
     click.echo(json.dumps(payload), err=True)
     sys.exit(1)
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for dicts with str keys,
+    lists, tuples, str, int, bool and None; TypeError on anything else,
+    floats included.  json.dumps indents with its pure-Python encoder; here
+    a list whose items are all scalars of one type is joined in one
+    str.join, which is what the block matrices are."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    if type(obj) is dict:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [
+            encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in obj.items()
+        ]
+        brackets = "{}"
+    elif type(obj) in (list, tuple):
+        kinds = set(map(type, obj))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, obj) if scalar else [_dumps(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 def _parse_inputs(gamma_text: str, weight_text: str):
@@ -89,7 +126,7 @@ def simples(gamma_text, weight_text, fmt):
             "product_count": len(product),
         }
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2))
+        click.echo(_dumps(payload))
     else:
         for entry in payload["simples"]:
             click.echo(
@@ -123,7 +160,7 @@ def block(gamma_text, weight_text, irrep_index, fmt):
     if fmt == "dot":
         click.echo(bd.to_dot())
     elif fmt == "json":
-        click.echo(json.dumps(bd.to_json(), indent=2))
+        click.echo(_dumps(bd.to_json()))
     else:
         for x in bd.order:
             click.echo(repr(x))
@@ -142,9 +179,7 @@ def matrices(gamma_text, weight_text, irrep_index, fmt):
     bd = block_matrices(gamma, _simple_at(gamma, weight, irrep_index))
     if fmt == "json":
         data = bd.to_json()
-        click.echo(
-            json.dumps({k: data[k] for k in ("D", "F", "C", "Cprime")}, indent=2)
-        )
+        click.echo(_dumps({k: data[k] for k in ("D", "F", "C", "Cprime")}))
     else:
         for name, mat in (("D", bd.D), ("F", bd.F), ("C", bd.C), ("Cprime", bd.Cprime)):
             for row in mat:
@@ -174,15 +209,14 @@ def char(which, gamma_text, weight_text, irrep_index, depth, fmt):
     character, rows = weight_dims_skew(gamma, x, which, depth)
     if fmt == "json":
         click.echo(
-            json.dumps(
+            _dumps(
                 {
                     "module": which,
                     "dims": [
                         {"weight": format_weight(w), "dim": d} for w, d in rows
                     ],
                     "character": character.to_json(),
-                },
-                indent=2,
+                }
             )
         )
     elif fmt == "csv":

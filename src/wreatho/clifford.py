@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import symchars
 from .symchars import (
@@ -29,6 +28,7 @@ from .weights import (
     InternalConsistencyError,
     SymF,
     Weight,
+    as_weight,
     canonical_orbit_rep,
     format_weight,
     gamma_cells,
@@ -204,8 +204,16 @@ def simplex_to_json(gamma: GammaSpec, x: SimpleX) -> dict:
 
 def simplex_from_json(gamma: GammaSpec, data: dict) -> SimpleX:
     """Rebuild a SimpleX; the orbit rep is made canonical, the stabilizer is
-    rederived from it and the labels are checked against it."""
-    rep = tuple(Fraction(c) for c in data["orbit_rep"])
-    rep = canonical_orbit_rep(gamma, rep)
+    rederived from it and the labels are checked against it.  Both fields
+    must be lists (orbit_rep of coordinates, irrep of label strings), else
+    ValueError."""
+    rep, labels = data["orbit_rep"], data["irrep"]
+    if not isinstance(rep, (list, tuple)):
+        raise ValueError(f"orbit_rep must be a list of coordinates, not {rep!r}")
+    if not isinstance(labels, (list, tuple)) or not all(
+        isinstance(text, str) for text in labels
+    ):
+        raise ValueError(f"irrep must be a list of label strings, not {labels!r}")
+    rep = canonical_orbit_rep(gamma, as_weight(rep))
     stab = stabilizer(gamma, rep)
-    return SimpleX(rep, stab, parse_irrep_labels(stab, data["irrep"]))
+    return SimpleX(rep, stab, parse_irrep_labels(stab, labels))

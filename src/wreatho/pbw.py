@@ -37,6 +37,7 @@ from .weights import (
     InternalConsistencyError,
     Perm,
     Weight,
+    as_weight,
     canonical_orbit_rep,
     gamma_cells,
     perm_act,
@@ -440,7 +441,7 @@ def group_algebra_conjugate(values: dict, beta: Perm) -> dict:
 
 def _t_value(c: Fraction) -> Fraction:
     """The flip-invariant coordinate c + c^2/2 (the rank-1 HC value)."""
-    return c + c * c / 2
+    return c + Fraction(c * c, 2)
 
 
 def _separating_invariants(gamma: GammaSpec, t: Weight) -> tuple:
@@ -492,8 +493,8 @@ def cc_equal(gamma: GammaSpec, lam: Weight, mu: Weight) -> dict:
     """
     if len(lam) != len(mu) or len(lam) != gamma.n:
         raise ValueError("rank mismatch")
-    lam = tuple(Fraction(c) for c in lam)
-    mu = tuple(Fraction(c) for c in mu)
+    lam = as_weight(lam)
+    mu = as_weight(mu)
     mu_rep = canonical_orbit_rep(gamma, mu)
     orbit_test = any(canonical_orbit_rep(gamma, w) == mu_rep for w in s_sets_A(lam, 4))
     t_lam = tuple(_t_value(c) for c in lam)

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cato_a import (
     CharacterVB,
@@ -81,7 +81,7 @@ def _block_sort_key(x: SimpleX):
     orbit-invariant, so descending sum is a valid linear extension; ties
     break by the canonical SimpleX key.
     """
-    return (-sum(x.orbit_rep, Fraction(0)), x.sort_key())
+    return (-sum(x.orbit_rep), x.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +337,12 @@ def weight_dims_skew(gamma: GammaSpec, x: SimpleX, module: str, depth: int):
     popcount of the AND of its masks, and a zero prefix prunes the
     descent.  Returns (character, rows), rows [(nu, dim)] sorted by
     descending coordinate sum, then nu.
+
+    The sort runs on integers.  A weight is found as its key, the tuple of
+    its candidate indices t_i; values[i] ascends, so keys sort as their
+    weights do, and with den the lcm of every candidate's denominator
+    (a coordinate may mix 0 and 5/2), sum(nu) * den is the int
+    sum_i values[i][t_i] * den.  The rows are built after the sort.
     """
     if module not in ("V", "Z"):
         raise ValueError(f"module must be V or Z, not {module!r}")
@@ -350,7 +356,7 @@ def weight_dims_skew(gamma: GammaSpec, x: SimpleX, module: str, depth: int):
         tops = {hw[i] for hw in support}
         vals = sorted({c - 2 * k for c in tops for k in range(depth + 1)})
         index = {v: t for t, v in enumerate(vals)}
-        orbit_bits: dict[Fraction, int] = {}
+        orbit_bits: dict = {}
         for j, mu in enumerate(orbit):
             orbit_bits[mu[i]] = orbit_bits.get(mu[i], 0) | 1 << j
         table = []
@@ -379,12 +385,16 @@ def weight_dims_skew(gamma: GammaSpec, x: SimpleX, module: str, depth: int):
     everyone = (1 << len(orbit)) - 1
     for hw in support:
         descend(hw, 0, depth, everyone, ())
+    den = lcm(*(v.denominator for vals in values for v in vals))
+    scaled = [[v.numerator * (den // v.denominator) for v in vals] for vals in values]
+    order = sorted(
+        found, key=lambda key: (-sum(map(list.__getitem__, scaled, key)), key)
+    )
     mult = irrep_dim(x.stab, x.irrep)
     rows = [
-        (tuple(values[i][t] for i, t in enumerate(key)), mult * mask.bit_count())
-        for key, mask in found.items()
+        (tuple(map(list.__getitem__, values, key)), mult * found[key].bit_count())
+        for key in order
     ]
-    rows.sort(key=lambda r: (-sum(r[0]), r[0]))
     return character, rows
 
 

@@ -1,8 +1,11 @@
 """Weight lattice Q^n for sl2^n, group actions, orbits and Kostant counting.
 
-Weights are plain tuples of Fractions; the rank is the tuple length.  The
-i-th simple root is 2*e_i, so mu <= lam iff every difference lam_i - mu_i is
-a nonnegative even integer.
+Weights are plain tuples of rational coordinates; the rank is the tuple
+length.  A coordinate is an int when it is integral and a Fraction
+otherwise (see coord): the two hash, compare and print alike, and the
+lattice arithmetic (c - 2k, -c - 2) keeps an int an int, so integral
+weights run on machine integers.  The i-th simple root is 2*e_i, so
+mu <= lam iff every difference lam_i - mu_i is a nonnegative even integer.
 
 The acting group Gamma is a product of "blocks" on consecutive coordinates:
 Young blocks S_{a} x S_{b} x ... (each size gets its own symmetric factor)
@@ -29,7 +32,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 
-Weight = tuple  # tuple[Fraction, ...]
+Weight = tuple  # tuple[int | Fraction, ...], each coordinate as coord makes it
 Perm = tuple  # tuple[int, ...]; p[i] is the image of coordinate i
 
 
@@ -41,8 +44,15 @@ class InternalConsistencyError(RuntimeError):
 # weights and the partial order
 
 
+def coord(c) -> int | Fraction:
+    """The canonical coordinate of c (an int, Fraction or rational string):
+    an int when it is integral, else a Fraction."""
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 def parse_weight(text: str) -> Weight:
-    """Parse "3,0,-1/2" into a tuple of Fractions."""
+    """Parse "3,0,-1/2" into a tuple of canonical coordinates (3, 0, -1/2)."""
     parts = [p.strip() for p in text.split(",")]
     out = []
     for k, part in enumerate(parts):
@@ -52,7 +62,7 @@ def parse_weight(text: str) -> Weight:
                 "expected a rational like 3 or -1/2"
             )
         try:
-            out.append(Fraction(part))
+            out.append(coord(part))
         except (ValueError, ZeroDivisionError):
             raise ValueError(
                 f"malformed weight {text!r}: bad entry {part!r} at position "
@@ -66,7 +76,7 @@ def format_weight(lam: Weight) -> str:
 
 
 def as_weight(coords: Iterable) -> Weight:
-    lam = tuple(Fraction(c) for c in coords)
+    lam = tuple(coord(c) for c in coords)
     if not lam:
         raise ValueError("rank must be >= 1")
     return lam
@@ -91,8 +101,8 @@ def simple_roots(n: int) -> list[Weight]:
     """The simple roots of sl2^n: alpha_i = 2 e_i."""
     roots = []
     for i in range(n):
-        v = [Fraction(0)] * n
-        v[i] = Fraction(2)
+        v = [0] * n
+        v[i] = 2
         roots.append(tuple(v))
     return roots
 
@@ -554,7 +564,7 @@ def _kostant_count(roots: tuple, residual: Weight, idx: int) -> int:
     w = _separating_functional(roots)
     root = roots[idx]
     step = _dot(w, root)
-    nmax = int(_dot(w, residual) / step) if step > 0 else 0
+    nmax = _dot(w, residual) // step if step > 0 else 0
     total = 0
     cur = residual
     for _ in range(nmax + 1):

@@ -19,6 +19,12 @@ CHAR_COORD = st.one_of(
     st.integers(-5, -3).map(F),
     st.integers(-4, 3).map(lambda k: F(2 * k + 1, 2)),
 )
+# CHAR_COORD and thirds, so a weight, and an orbit's coordinate, can mix the
+# denominators 1, 2 and 3
+MIXED_COORD = st.one_of(
+    CHAR_COORD,
+    st.integers(-7, 5).filter(lambda k: k % 3).map(lambda k: F(k, 3)),
+)
 
 
 def _block_width(block):

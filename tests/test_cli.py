@@ -5,17 +5,21 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import down_weights_by_filtering
+from gamma_strategies import MIXED_COORD, gamma_specs, pooled_weights
+from oracles import char_rows_by_evaluation, down_weights_by_filtering
 import wreatho.cli
 from wreatho.cato_a import CharacterVB
-from wreatho.cli import _down_weights, main
-from wreatho.clifford import simplex_from_json
+from wreatho.cli import _down_weights, _dumps, main
+from wreatho.clifford import simplex_from_json, simplex_to_json
 from wreatho.pbw import Algebra, element_from_json, parse_expr
-from wreatho.skew_o import block_matrices
+from wreatho.skew_o import block_matrices, ch_verma_skew
 from wreatho.clifford import classify_X_over
-from wreatho.weights import parse_gamma, parse_weight
+from wreatho.weights import as_weight, format_weight, parse_gamma, parse_weight
 
 
 def run(*args):
@@ -133,6 +137,121 @@ class TestChar:
                 assert list(_down_weights(hw, depth)) == list(
                     down_weights_by_filtering(hw, depth)
                 )
+
+
+# JSON-like values: every kind _dumps takes, nested; strings with quotes,
+# backslashes, control characters, non-ASCII and astral characters
+_JSON_STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", '"\\', "\x00\x1f\n\t\x7f", "caf\u00e9", "\u2028", "\U0001f600"]),
+)
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**200), 2**200), _JSON_STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(_JSON_STRINGS, inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    @settings(max_examples=400)
+    @given(_JSON_VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    def test_scalar_lists_and_empty_containers(self):
+        for value in ([], {}, (), [[]], {"a": {}}, [1, True, None, "x"], [[1, 2], [3]]):
+            assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, F(1, 2), [1, 2.0], {"a": [F(3)]}, {1: 2}, {"a": {1, 2}}]
+    )
+    def test_rejects_what_is_not_json_here(self, value):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+    @pytest.mark.parametrize(
+        "spec, weight",
+        [("S:2,2,2", "1,1,2,2,3,5"), ("S:3;C:2", "4,4,4,4,4"), ("C:6", "0,1,0,1,0,1")],
+    )
+    def test_block_prints_what_json_dumps_prints(self, spec, weight):
+        r = run("block", "--gamma", spec, "--weight", weight)
+        assert r.exit_code == 0
+        gamma = parse_gamma(spec)
+        bd = block_matrices(gamma, classify_X_over(gamma, parse_weight(weight))[0])
+        assert r.output == json.dumps(bd.to_json(), indent=2) + "\n"
+
+    def test_char_prints_the_evaluated_rows_as_json_dumps(self):
+        # the heavy Verma of the char benchmark: 3024 rows
+        spec, weight, depth = "S:4", "5/2,3/2,0,1", 5
+        r = run(
+            "char", "--module", "Z", "--gamma", spec, "--weight", weight,
+            "--depth", str(depth), "--format", "json",
+        )
+        assert r.exit_code == 0
+        gamma = parse_gamma(spec)
+        character = ch_verma_skew(gamma, classify_X_over(gamma, parse_weight(weight))[0])
+        rows = char_rows_by_evaluation(character, depth)
+        assert len(rows) == 3024
+        expected = {
+            "module": "Z",
+            "dims": [{"weight": format_weight(nu), "dim": d} for nu, d in rows],
+            "character": character.to_json(),
+        }
+        assert r.output == json.dumps(expected, indent=2) + "\n"
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in the output")
+
+
+@st.composite
+def _mixed_cases(draw):
+    gamma = draw(gamma_specs())
+    return gamma, draw(pooled_weights(gamma, coords=MIXED_COORD))
+
+
+class TestIntegersThroughout:
+    # an integral coordinate is an int, a matrix entry is an int, and no
+    # float reaches the JSON the commands print
+
+    @settings(max_examples=100)
+    @given(_mixed_cases())
+    def test_entry_paths_give_canonical_coordinates(self, case):
+        gamma, lam = case
+        for weight in (parse_weight(format_weight(lam)), as_weight(lam)):
+            assert weight == lam
+            assert [type(c) for c in weight] == [
+                int if c.denominator == 1 else F for c in lam
+            ]
+        for x in classify_X_over(gamma, lam):
+            rep = simplex_from_json(gamma, simplex_to_json(gamma, x)).orbit_rep
+            assert rep == x.orbit_rep
+            assert all(type(c) is (int if c.denominator == 1 else F) for c in rep)
+
+    @settings(max_examples=30)
+    @given(_mixed_cases(), st.sampled_from(["V", "Z"]), st.integers(0, 3))
+    def test_matrices_and_outputs_hold_no_float(self, case, module, depth):
+        gamma, lam = case
+        x = classify_X_over(gamma, lam)[0]
+        bd = block_matrices(gamma, x)
+        for mat in (bd.D, bd.F, bd.C, bd.Cprime):
+            assert all(type(v) is int for row in mat for v in row)
+        common = ("--gamma", str(gamma), "--weight", format_weight(lam))
+        for args in (
+            ("block",),
+            ("char", "--module", module, "--depth", str(depth), "--format", "json"),
+            ("simples", "--format", "json"),
+        ):
+            r = run(*args, *common)
+            assert r.exit_code == 0, (args, r.output)
+            json.loads(r.output, parse_float=_no_float)
 
 
 def _load_tracing():

@@ -203,6 +203,19 @@ class TestJson:
         with pytest.raises(ValueError):
             simplex_from_json(parse_gamma(spec), {"orbit_rep": coords, "irrep": labels})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"orbit_rep": ["0", "0"], "irrep": [2]},
+            {"orbit_rep": ["0", "0"], "irrep": "2"},
+            {"orbit_rep": ["0", "0"], "irrep": None},
+            {"orbit_rep": "00", "irrep": ["2"]},
+        ],
+    )
+    def test_rejects_fields_of_the_wrong_shape(self, data):
+        with pytest.raises(ValueError):
+            simplex_from_json(parse_gamma("S:2"), data)
+
     def test_validate_rejects_hand_built_labels(self):
         gamma = parse_gamma("S:2")
         x = classify_X_over(gamma, w(0, 0))[0]

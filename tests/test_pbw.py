@@ -21,6 +21,7 @@ from wreatho.pbw import (
     Algebra,
     Element,
     _mul_rank1,
+    _t_value,
     anti_involution,
     cc_equal,
     center_basis_up_to_degree,
@@ -576,6 +577,19 @@ def _cc_cases(draw):
     else:
         mu = draw(pooled_weights(gamma, coords=_CC_COORD))
     return gamma, lam, mu
+
+
+class TestTValue:
+    def test_int_coordinate_gives_an_exact_value(self):
+        for c, expected in ((3, F(15, 2)), (1, F(3, 2)), (0, 0), (-2, 0), (F(1, 2), F(5, 8))):
+            t = _t_value(c)
+            assert not isinstance(t, float) and t == expected
+
+    def test_cc_on_int_weights(self):
+        out = cc_equal(parse_gamma("S:2"), (3, 0), (-2, -5))
+        assert out["equal"] is True
+        assert out["t_lambda"] == (F(15, 2), 0)
+        assert not any(isinstance(t, float) for t in out["t_lambda"] + out["t_mu"])
 
 
 class TestCCInvariantOracle:

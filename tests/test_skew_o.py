@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma_strategies import gamma_specs, pooled_weights
+from gamma_strategies import CHAR_COORD, MIXED_COORD, gamma_specs, pooled_weights
 from oracles import char_rows_by_evaluation, oracle_decompose
 from wreatho.cato_a import CharacterVB, ch_simple_A, length_Z_A
 from wreatho.clifford import (
@@ -498,9 +498,9 @@ class TestCharactersAndDims:
 
 
 @st.composite
-def _char_cases(draw):
+def _char_cases(draw, coords=CHAR_COORD):
     gamma = draw(gamma_specs())
-    lam = draw(pooled_weights(gamma))
+    lam = draw(pooled_weights(gamma, coords=coords))
     simples = classify_X_over(gamma, lam)
     x = simples[draw(st.integers(0, len(simples) - 1))]
     return gamma, x, draw(st.sampled_from(["V", "Z"])), draw(st.integers(0, 4))
@@ -555,6 +555,31 @@ class TestWeightDims:
         character, rows = weight_dims_skew(gamma, x, "V", depth)
         assert rows == char_rows_by_evaluation(character, depth)
         assert sum(d for _, d in rows) == dim_simple_skew(gamma, x)
+
+    @pytest.mark.parametrize(
+        "spec, coords, module, depth",
+        [
+            ("S:2;1:1", (F(1, 3), F(1, 3), F(5, 2)), "V", 5),
+            ("S:2;1:1", (F(1, 3), F(5, 2), 0), "Z", 4),
+            ("S:2;1:1", (F(-2, 3), F(1, 2), F(4, 3)), "V", 6),
+            ("S:2", (0, F(5, 2)), "V", 6),
+        ],
+    )
+    def test_row_order_with_mixed_denominators(self, spec, coords, module, depth):
+        # one orbit coordinate, or one weight, mixes denominators 1, 2 and 3;
+        # the oracle sorts by the Fraction key (-sum(nu), nu)
+        gamma = parse_gamma(spec)
+        for x in classify_X_over(gamma, coords):
+            character, rows = weight_dims_skew(gamma, x, module, depth)
+            assert len(rows) > 1
+            assert rows == char_rows_by_evaluation(character, depth)
+
+    @settings(max_examples=80)
+    @given(_char_cases(coords=MIXED_COORD))
+    def test_rows_match_evaluation_over_thirds(self, case):
+        gamma, x, module, depth = case
+        character, rows = weight_dims_skew(gamma, x, module, depth)
+        assert rows == char_rows_by_evaluation(character, depth)
 
     def test_unknown_module(self):
         x = classify_X_over(S2, w(1, 0))[0]

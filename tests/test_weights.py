@@ -10,6 +10,9 @@ from gamma_strategies import CHAR_COORD, gamma_specs, pooled_weights
 from oracles import kostant_enumeration
 from wreatho.weights import (
     CycF,
+    _kostant_count,
+    as_weight,
+    coord,
     SignedPermutation,
     SymF,
     canonical_orbit_rep,
@@ -204,12 +207,30 @@ class TestKostant:
             theta = w(2 * rng.randint(0, 6), 2 * rng.randint(0, 6))
             assert kostant_p(theta, roots) == kostant_enumeration(theta, roots, bound=8)
 
+    def test_int_input_counts_exactly(self):
+        # the number of multiples of a root that fit is an exact floor division
+        roots = ((2, 0), (0, 2), (2, 2))
+        for theta, expected in (((4, 2), 2), ((6, 6), 4), ((3, 0), 0)):
+            count = _kostant_count(roots, theta, 0)
+            assert type(count) is int and count == expected
+            assert count == kostant_enumeration(theta, roots, bound=8)
+        assert _kostant_count(roots, (-1, 0), 0) == 0
+
 
 class TestParsing:
     def test_weight_round_trip(self):
         lam = parse_weight("3,0,-1/2")
         assert lam == w(3, 0, F(-1, 2))
         assert parse_weight(format_weight(lam)) == lam
+
+    def test_coordinates_are_canonical(self):
+        lam = parse_weight("3,0,-1/2,4/2, -6/3")
+        assert lam == (3, 0, F(-1, 2), 2, -2)
+        assert [type(c) for c in lam] == [int, int, F, int, int]
+        assert [type(c) for c in as_weight([F(6, 3), "5/2", 7, F(-1, 3)])] == [int, F, int, F]
+        assert type(coord(F(4, 2))) is int and type(coord("1/3")) is F
+        # int and Fraction coordinates are interchangeable as keys
+        assert {lam: 1}[(F(3), F(0), F(-1, 2), F(2), F(-2))] == 1
 
     def test_weight_errors(self):
         for bad in ("", "1,,2", "a,b", "1/0"):
