@@ -439,7 +439,7 @@ def group_algebra_conjugate(values: dict, beta: Perm) -> dict:
 # central character equality (dual evidence)
 
 
-def _t_value(c: Fraction) -> Fraction:
+def _t_value(c: int | Fraction) -> Fraction:
     """The flip-invariant coordinate c + c^2/2 (the rank-1 HC value)."""
     return c + Fraction(c * c, 2)
 

@@ -356,7 +356,7 @@ def weight_dims_skew(gamma: GammaSpec, x: SimpleX, module: str, depth: int):
         tops = {hw[i] for hw in support}
         vals = sorted({c - 2 * k for c in tops for k in range(depth + 1)})
         index = {v: t for t, v in enumerate(vals)}
-        orbit_bits: dict = {}
+        orbit_bits = {}
         for j, mu in enumerate(orbit):
             orbit_bits[mu[i]] = orbit_bits.get(mu[i], 0) | 1 << j
         table = []

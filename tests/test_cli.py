@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gamma_strategies import MIXED_COORD, gamma_specs, pooled_weights
@@ -162,12 +162,12 @@ _JSON_VALUES = st.recursive(
 class TestDumps:
     @settings(max_examples=400)
     @given(_JSON_VALUES)
+    @example([])
+    @example({"a": {}, "b": ()})
+    @example([1, True, None, "x"])
+    @example([[1, 2], [-3], [True, False]])
     def test_same_bytes_as_json_dumps(self, value):
         assert _dumps(value) == json.dumps(value, indent=2)
-
-    def test_scalar_lists_and_empty_containers(self):
-        for value in ([], {}, (), [[]], {"a": {}}, [1, True, None, "x"], [[1, 2], [3]]):
-            assert _dumps(value) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(
         "value", [1.5, F(1, 2), [1, 2.0], {"a": [F(3)]}, {1: 2}, {"a": {1, 2}}]
