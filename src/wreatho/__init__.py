@@ -51,12 +51,9 @@ from .skew_o import (
 from .symchars import char_table, char_value, dim_irrep, induce_restrict_mult
 from .weights import (
     GammaSpec,
-    SignedPermutation,
     Weight,
-    dot_act,
     kostant_p,
     leq,
-    orbit_and_stabilizer,
     parse_gamma,
     parse_weight,
     perm_act,

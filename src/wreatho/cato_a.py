@@ -111,9 +111,6 @@ class CharacterVB:
             out._bump(hw, coef)
         return out
 
-    def __sub__(self, other: "CharacterVB") -> "CharacterVB":
-        return self + other.scale(-1)
-
     def scale(self, k: int) -> "CharacterVB":
         return CharacterVB(self.rank, {hw: k * c for hw, c in self.terms.items()})
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -23,7 +22,7 @@ from .skew_o import (
     simples_over_four_setups,
     weight_dims_skew,
 )
-from .weights import format_weight, parse_gamma, parse_weight
+from .weights import format_weight, parse_gamma, parse_rational, parse_weight
 
 
 def _fail(message: str, **extra):
@@ -301,7 +300,7 @@ def appendix(rank, f_text, wdeg):
     coeffs = []
     if f_text.strip():
         try:
-            coeffs = [Fraction(c) for c in f_text.split(",")]
+            coeffs = [parse_rational(c) for c in f_text.split(",")]
         except ValueError as exc:
             _fail(f"bad --f: {exc}", input=f_text)
     try:
@@ -309,7 +308,7 @@ def appendix(rank, f_text, wdeg):
         report = verify_no_go(spec)
     except ValueError as exc:
         _fail(str(exc))
-    click.echo(json.dumps(report, indent=2, default=str))
+    click.echo(_dumps(report))
     if report["solution_space_dim"] != 0:
         _fail("nonzero deformation space", report=report)
 

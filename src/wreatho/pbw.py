@@ -40,6 +40,7 @@ from .weights import (
     as_weight,
     canonical_orbit_rep,
     gamma_cells,
+    parse_rational,
     perm_act,
     perm_compose,
     perm_inverse,
@@ -384,18 +385,14 @@ def _eval_h_monomial(lam, factors) -> "Poly | Fraction":
     return result
 
 
-def central_character(
-    gamma: GammaSpec, lam: Weight, r: Element, values=None
-) -> dict:
+def central_character(gamma: GammaSpec, lam: Weight, r: Element) -> dict:
     """chi_lam(r): for each group part fixing lam, evaluate lam on the
     Harish-Chandra projection of its coefficient.
 
     Returns {perm: value}; values are Fractions, or Polys when the input has
-    symbolic coefficients or the weight has symbolic coordinates.  Passing
-    `values` substitutes parameters first.
+    symbolic coefficients or the weight has symbolic coordinates.  gamma is
+    not read: the group parts come from r itself, so callers may pass None.
     """
-    if values:
-        r = r.substitute(values)
     alg = r.algebra
     if alg.n != len(lam):
         raise ValueError("rank mismatch")
@@ -791,7 +788,7 @@ class ExprParser:
             i = self._factor(f"generator {val}", int(val[1:]))
             return self.alg.gen(val[0], i)
         if kind == "num":
-            return self.alg.scalar(Fraction(val))
+            return self.alg.scalar(parse_rational(val))
         if kind == "param":
             return self.alg.scalar(Poly.var(val))
         if kind == "swap":

@@ -29,13 +29,13 @@ from .symchars import char_table, dim_irrep, partitions_of
 from .weights import (
     GammaSpec,
     InternalConsistencyError,
-    SignedPermutation,
-    dot_act,
+    flip_subset,
     kostant_p,
     leq,
-    orbit_and_stabilizer,
+    orbit_of,
     parse_gamma,
     perm_act,
+    stabilizer,
 )
 
 
@@ -98,24 +98,25 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
             for g in gamma.group().generators() or [tuple(range(n))]:
                 _require(leq(perm_act(g, mu), perm_act(g, lam)))
 
-    def dot_group_action():
+    def flips_commute_with_gamma():
         for _ in range(40):
             n = rng.randint(1, 4)
-            p1 = tuple(rng.sample(range(n), n))
-            p2 = tuple(rng.sample(range(n), n))
-            w1 = frozenset(i for i in range(n) if rng.random() < 0.5)
-            w2 = frozenset(i for i in range(n) if rng.random() < 0.5)
-            s1, s2 = SignedPermutation(p1, w1), SignedPermutation(p2, w2)
+            gamma = _random_gamma(rng, n)
             lam = _random_weight(rng, n)
-            _require(dot_act(s1, dot_act(s2, lam)) == dot_act(s1 * s2, lam))
+            t = {i for i in range(n) if rng.random() < 0.5}
+            for g in gamma.group().generators():
+                _require(
+                    perm_act(g, flip_subset(lam, t))
+                    == flip_subset(perm_act(g, lam), {g[i] for i in t})
+                )
 
     def orbit_stabilizer_count():
         for _ in range(25):
             n = rng.randint(1, 5)
             gamma = _random_gamma(rng, n)
             lam = _random_weight(rng, n)
-            orb, stab = orbit_and_stabilizer(gamma, lam)
-            _require(len(orb) * stab.order == gamma.group().order)
+            orbit_size = len(orbit_of(gamma, lam))
+            _require(orbit_size * stabilizer(gamma, lam).order == gamma.group().order)
 
     def kostant_small():
         roots = [(2, 0), (0, 2), (2, 2)]
@@ -229,7 +230,7 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
             cc_equal(gamma, lam, mu)  # raises if the two methods disagree
 
     check("gamma preserves the order", order_preserved)
-    check("dot action composes", dot_group_action)
+    check("flips commute with Gamma", flips_commute_with_gamma)
     check("orbit x stabilizer = |Gamma|", orbit_stabilizer_count)
     check("kostant matches enumeration", kostant_small)
     check("character tables orthogonal", char_orthogonality)

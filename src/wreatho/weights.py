@@ -51,6 +51,14 @@ def coord(c) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator raised as ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_weight(text: str) -> Weight:
     """Parse "3,0,-1/2" into a tuple of canonical coordinates (3, 0, -1/2)."""
     parts = [p.strip() for p in text.split(",")]
@@ -62,8 +70,8 @@ def parse_weight(text: str) -> Weight:
                 "expected a rational like 3 or -1/2"
             )
         try:
-            out.append(coord(part))
-        except (ValueError, ZeroDivisionError):
+            out.append(coord(parse_rational(part)))
+        except ValueError:
             raise ValueError(
                 f"malformed weight {text!r}: bad entry {part!r} at position "
                 f"{k + 1}, expected a rational like 3 or -1/2"
@@ -127,37 +135,6 @@ def integral_flip_positions(lam: Weight) -> tuple[int, ...]:
     )
 
 
-# ---------------------------------------------------------------------------
-# signed permutations (the group S_n wr Z/2 with the twisted action)
-
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """An element (sigma, w) of S_n wr (Z/2)^n.
-
-    The twisted action is: flip coordinates in `flips` via c -> -c-2, then
-    permute by `perm`.  Composition matches
-    (sigma, w)(sigma', w') = (sigma sigma', sigma'^{-1}(w) . w').
-    """
-
-    perm: Perm
-    flips: frozenset
-
-    @staticmethod
-    def identity(n: int) -> "SignedPermutation":
-        return SignedPermutation(tuple(range(n)), frozenset())
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if len(self.perm) != len(other.perm):
-            raise ValueError("rank mismatch")
-        q_inv = perm_inverse(other.perm)
-        moved = frozenset(q_inv[i] for i in self.flips)
-        return SignedPermutation(
-            perm_compose(self.perm, other.perm),
-            moved ^ other.flips,
-        )
-
-
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(i) = p(q(i))."""
     return tuple(p[q[i]] for i in range(len(p)))
@@ -176,13 +153,6 @@ def perm_act(p: Perm, lam: Weight) -> Weight:
     for i, c in enumerate(lam):
         out[p[i]] = c
     return tuple(out)
-
-
-def dot_act(sw: SignedPermutation, lam: Weight) -> Weight:
-    if len(sw.perm) != len(lam):
-        raise ValueError("rank mismatch")
-    flipped = flip_subset(lam, sw.flips)
-    return perm_act(sw.perm, flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +215,6 @@ class CycF:
         return [self.rotation(1)]
 
 
-Factor = "SymF | CycF"
-
-
 def hash_once(self) -> int:
     """``__hash__`` for a frozen dataclass used as a cache key.
 
@@ -286,9 +253,6 @@ class GroupDesc:
         for f in self.factors:
             o *= f.order
         return o
-
-    def is_trivial(self) -> bool:
-        return not self.factors
 
     def generators(self) -> list[Perm]:
         gens = []
@@ -521,14 +485,6 @@ def _necklace_symmetry_order(values: tuple) -> int:
         if all(values[t] == values[(t + period) % m] for t in range(m)):
             return m // period
     return 1
-
-
-def orbit_and_stabilizer(gamma: GammaSpec, lam: Weight):
-    orb = orbit_of(gamma, lam)
-    stab = stabilizer(gamma, lam)
-    if len(orb) * stab.order != gamma.group().order:
-        raise InternalConsistencyError(f"orbit x stabilizer != |Gamma| at {lam}")
-    return orb, stab
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from wreatho.clifford import simplex_from_json, simplex_to_json
 from wreatho.pbw import Algebra, element_from_json, parse_expr
 from wreatho.skew_o import block_matrices, ch_verma_skew
 from wreatho.clifford import classify_X_over
+from wreatho.obstruction import DeformationSpec, verify_no_go
 from wreatho.weights import as_weight, format_weight, parse_gamma, parse_weight
 
 
@@ -368,6 +369,14 @@ class TestPbw:
 
 
 class TestAppendix:
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("f_text, coeffs", [("0,1", [0, 1]), ("1/2,3", [F(1, 2), 3])])
+    def test_prints_what_json_dumps_prints(self, rank, f_text, coeffs):
+        r = run("appendix", "--n", str(rank), "--f", f_text)
+        assert r.exit_code == 0
+        report = verify_no_go(DeformationSpec(n=rank, f_coeffs=[F(c) for c in coeffs]))
+        assert r.stdout == json.dumps(report, indent=2) + "\n"
+
     def test_no_go(self):
         r = run("appendix", "--n", "2", "--f", "0,1")
         assert r.exit_code == 0
@@ -381,6 +390,43 @@ class TestAppendix:
         assert r.exit_code == 1
         assert json.loads(r.stderr)["error"] == "w_degree must be >= 0, got -1"
         assert r.stdout == ""
+
+
+_S2 = ("--gamma", "S:2", "--weight")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("simples", "--gamma", "S:x", "--weight", "1,0"),
+            ("simples", *_S2, "1,a"),
+            ("simples", *_S2, "1/0,1"),
+            ("simples", *_S2, "1"),
+            ("block", "--gamma", "Q:2", "--weight", "0,0"),
+            ("block", *_S2, "0,,0"),
+            ("matrices", *_S2, "1/0,0"),
+            ("matrices", "--gamma", ";", "--weight", "0"),
+            ("char", "--module", "V", *_S2, "0,0", "--depth", "-1"),
+            ("char", "--module", "Z", *_S2, "0,0,0"),
+            ("cc", *_S2, "1,0", "--mu", "1/0,0"),
+            ("cc", *_S2, "1,0", "--mu", "1,0,0"),
+            ("pbw", "--n", "2", "--expr", "1/0"),
+            ("pbw", "--n", "2", "--expr", "e1 +"),
+            ("pbw", "--n", "0", "--expr", "e1"),
+            ("appendix", "--n", "2", "--f", "1/0"),
+            ("appendix", "--n", "2", "--f", "0,x"),
+            ("appendix", "--n", "1"),
+        ],
+    )
+    def test_json_error_and_exit_1(self, args):
+        r = run(*args)
+        assert r.exit_code == 1
+        # an uncaught exception (a traceback outside the test runner) is
+        # not a SystemExit
+        assert type(r.exception) is SystemExit
+        assert "Traceback" not in r.output
+        assert "error" in json.loads(r.stderr)
 
 
 class TestSelftest:

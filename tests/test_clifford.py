@@ -32,7 +32,7 @@ class TestClassify:
     def test_regular_orbit(self):
         xs = classify_X_over(parse_gamma("S:2"), w(1, 0))
         assert len(xs) == 1
-        assert xs[0].stab.is_trivial()
+        assert xs[0].stab.factors == ()
         assert dim_m(parse_gamma("S:2"), xs[0]) == 2
 
     def test_fixed_weight(self):

@@ -13,14 +13,13 @@ from wreatho.weights import (
     _kostant_count,
     as_weight,
     coord,
-    SignedPermutation,
     SymF,
     canonical_orbit_rep,
-    dot_act,
+    flip_subset,
     gamma_cells,
     kostant_p,
     leq,
-    orbit_and_stabilizer,
+    orbit_of,
     parse_gamma,
     parse_weight,
     perm_act,
@@ -75,48 +74,36 @@ class TestActions:
         cyc = parse_gamma("C:3").group().generators()[0]
         assert perm_act(cyc, w(1, 2, 3)) == w(3, 1, 2)
 
-    def test_dot_flip_then_swap(self):
-        sw = SignedPermutation((1, 0), frozenset({0}))
-        assert dot_act(sw, w(3, 0)) == w(0, -5)
-
-    def test_dot_identity(self):
-        lam = w(7, F(-1, 3))
-        assert dot_act(SignedPermutation.identity(2), lam) == lam
-
-    def test_dot_fixed_point(self):
-        sw = SignedPermutation((0,), frozenset({0}))
-        assert dot_act(sw, w(-1)) == w(-1)
-
-    def test_dot_is_group_action(self):
-        rng = random.Random(3)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            s1 = SignedPermutation(
-                tuple(rng.sample(range(n), n)),
-                frozenset(i for i in range(n) if rng.random() < 0.5),
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_flips_commute_with_gamma(self, data):
+        """g . flip_T(lam) = flip_{g(T)}(g . lam): the flip layers of an
+        orbit are permuted by Gamma."""
+        gamma = data.draw(gamma_specs(max_rank=5))
+        lam = data.draw(pooled_weights(gamma))
+        t = data.draw(st.sets(st.integers(0, gamma.n - 1)))
+        for g in gamma.group().generators():
+            assert perm_act(g, flip_subset(lam, t)) == flip_subset(
+                perm_act(g, lam), {g[i] for i in t}
             )
-            s2 = SignedPermutation(
-                tuple(rng.sample(range(n), n)),
-                frozenset(i for i in range(n) if rng.random() < 0.5),
-            )
-            lam = tuple(F(rng.randint(-6, 6), rng.choice([1, 2])) for _ in range(n))
-            assert dot_act(s1, dot_act(s2, lam)) == dot_act(s1 * s2, lam)
 
 
 class TestOrbits:
     def test_s2_regular(self):
-        orb, stab = orbit_and_stabilizer(parse_gamma("S:2"), w(1, 0))
-        assert orb == [w(0, 1), w(1, 0)]
-        assert stab.order == 1
+        gamma, lam = parse_gamma("S:2"), w(1, 0)
+        assert orbit_of(gamma, lam) == [w(0, 1), w(1, 0)]
+        assert stabilizer(gamma, lam).order == 1
 
     def test_s2_fixed(self):
-        orb, stab = orbit_and_stabilizer(parse_gamma("S:2"), w(3, 3))
-        assert orb == [w(3, 3)]
+        gamma, lam = parse_gamma("S:2"), w(3, 3)
+        assert orbit_of(gamma, lam) == [w(3, 3)]
+        stab = stabilizer(gamma, lam)
         assert stab.order == 2 and isinstance(stab.factors[0], SymF)
 
     def test_cyclic_constant(self):
-        orb, stab = orbit_and_stabilizer(parse_gamma("C:3"), w(4, 4, 4))
-        assert len(orb) == 1
+        gamma, lam = parse_gamma("C:3"), w(4, 4, 4)
+        assert len(orbit_of(gamma, lam)) == 1
+        stab = stabilizer(gamma, lam)
         assert stab.order == 3 and isinstance(stab.factors[0], CycF)
 
     def test_counting(self):
@@ -126,14 +113,13 @@ class TestOrbits:
             kind = rng.choice(["S", "C"])
             gamma = parse_gamma(f"{kind}:{n}")
             lam = tuple(F(rng.randint(0, 2)) for _ in range(n))
-            orb, stab = orbit_and_stabilizer(gamma, lam)
-            assert len(orb) * stab.order == gamma.group().order
+            orbit = orbit_of(gamma, lam)
+            assert len(orbit) * stabilizer(gamma, lam).order == gamma.group().order
 
     def test_canonical_rep_is_minimal(self):
         gamma = parse_gamma("S:2;C:3")
         lam = w(2, -1, 5, 0, 5)
-        orb, _ = orbit_and_stabilizer(gamma, lam)
-        assert canonical_orbit_rep(gamma, lam) == orb[0]
+        assert canonical_orbit_rep(gamma, lam) == orbit_of(gamma, lam)[0]
 
 
 @st.composite
