@@ -32,6 +32,22 @@ def _fail(message: str, **extra):
     sys.exit(1)
 
 
+class _Integer(click.ParamType):
+    """An integer option whose bad value fails through _fail, not click's
+    usage error."""
+
+    name = "integer"
+
+    def convert(self, value, param, ctx):
+        try:
+            return int(value)
+        except ValueError:
+            _fail(f"bad {param.opts[0]}: {value!r} is not an integer", input=value)
+
+
+_INTEGER = _Integer()
+
+
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -150,7 +166,7 @@ def _simple_at(gamma, weight, irrep_index):
 @main.command()
 @click.option("--gamma", "gamma_text", required=True)
 @click.option("--weight", "weight_text", required=True)
-@click.option("--irrep", "irrep_index", default=0, show_default=True)
+@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "dot", "text"]))
 def block(gamma_text, weight_text, irrep_index, fmt):
     """Linkage class and D/F/C/C' matrices of the block over a weight."""
@@ -170,7 +186,7 @@ def block(gamma_text, weight_text, irrep_index, fmt):
 @main.command()
 @click.option("--gamma", "gamma_text", required=True)
 @click.option("--weight", "weight_text", required=True)
-@click.option("--irrep", "irrep_index", default=0, show_default=True)
+@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER)
 @click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
 def matrices(gamma_text, weight_text, irrep_index, fmt):
     """The four block matrices only."""
@@ -189,8 +205,8 @@ def matrices(gamma_text, weight_text, irrep_index, fmt):
 @click.option("--module", "which", type=click.Choice(["V", "Z"]), required=True)
 @click.option("--gamma", "gamma_text", required=True)
 @click.option("--weight", "weight_text", required=True)
-@click.option("--irrep", "irrep_index", default=0, show_default=True)
-@click.option("--depth", default=12, show_default=True)
+@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER)
+@click.option("--depth", default=12, show_default=True, type=_INTEGER)
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json", "csv"]))
 def char(which, gamma_text, weight_text, irrep_index, depth, fmt):
     """Weight-space dimensions of a simple (V) or Verma (Z) character.
@@ -272,7 +288,7 @@ def cc(gamma_text, weight_text, mu_text):
 
 
 @main.command()
-@click.option("--n", "rank", required=True, type=int)
+@click.option("--n", "rank", required=True, type=_INTEGER)
 @click.option("--expr", required=True)
 @click.option("--format", "fmt", default="text", type=click.Choice(["text", "json"]))
 def pbw(rank, expr, fmt):
@@ -291,9 +307,9 @@ def pbw(rank, expr, fmt):
 
 
 @main.command()
-@click.option("--n", "rank", required=True, type=int)
+@click.option("--n", "rank", required=True, type=_INTEGER)
 @click.option("--f", "f_text", default="", help='coefficients of f, e.g. "0,1"')
-@click.option("--wdeg", default=4, show_default=True)
+@click.option("--wdeg", default=4, show_default=True, type=_INTEGER)
 def appendix(rank, f_text, wdeg):
     """Deformation obstruction report; exit 0 iff only the zero deformation
     survives."""
@@ -314,7 +330,7 @@ def appendix(rank, f_text, wdeg):
 
 
 @main.command()
-@click.option("--seed", default=20240901, show_default=True, type=int)
+@click.option("--seed", default=20240901, show_default=True, type=_INTEGER)
 def selftest(seed):
     """Run the seeded invariant suites."""
     # imported here so that other commands do not load the suites

@@ -125,8 +125,7 @@ def weight_vector_check(a: Element, eta) -> bool:
         raise ValueError("rank mismatch")
     for i in range(alg.n):
         lhs = commutator(alg.h(i), a)
-        rhs = a * Fraction(eta[i]) if not isinstance(eta[i], Poly) else a * eta[i]
-        if not (lhs - rhs).is_zero():
+        if not (lhs - a * eta[i]).is_zero():
             return False
     return True
 
@@ -155,7 +154,7 @@ def _linear_system(elements, unknowns):
             stray = set(parts) - set(unknowns)
             if stray:
                 raise ValueError(f"unexpected parameters {stray}")
-            rows.append([parts.get(unk, Fraction(0)) for unk in unknowns])
+            rows.append([parts.get(unk, 0) for unk in unknowns])
     return rows
 
 
@@ -197,7 +196,7 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     c_forced = set(wit_parts) == {"c"} and wit_parts["c"] != 0
     cd_rows = _linear_system(obstructions, ["c", "d"])
     cd_rank = linalg.rank(cd_rows)
-    d_forced_after_c = linalg.in_row_space(cd_rows, [Fraction(0), Fraction(1)])
+    d_forced_after_c = linalg.in_row_space(cd_rows, [0, 1])
 
     # off-diagonal: weight-vector conditions in u, v
     uv_elements = []
@@ -210,9 +209,7 @@ def verify_no_go(spec: DeformationSpec) -> dict:
             target[i] -= 1
             r = rhs[(i, j)]
             for l in range(spec.n):
-                uv_elements.append(
-                    commutator(alg.h(l), r) - r * Fraction(target[l])
-                )
+                uv_elements.append(commutator(alg.h(l), r) - r * target[l])
     uv_rows = _linear_system(uv_elements, ["u", "v"])
     uv_rank = linalg.rank(uv_rows)
 
@@ -263,7 +260,7 @@ def verify_no_go(spec: DeformationSpec) -> dict:
 def _proportionality(a: Element, b: Element):
     """The scalar s with a = s * b, or None; constants only."""
     if a.is_zero() and b.is_zero():
-        return Fraction(0)
+        return 0
     if set(a.terms) != set(b.terms):
         return None
     ratio = None
@@ -272,7 +269,7 @@ def _proportionality(a: Element, b: Element):
         cb = b.terms[mono].constant_value()
         if cb == 0:
             return None
-        r = ca / cb
+        r = Fraction(ca, cb)
         if ratio is None:
             ratio = r
         elif ratio != r:

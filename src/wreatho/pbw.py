@@ -15,7 +15,7 @@ of -2A, A and -A(A-1)), so `_mul_rank1` and the products work in plain
 ints; a denominator enters a coefficient only from an input, such as the
 1/2 in the Casimir.  A product forms p1 * p2 once per pair of terms and
 collects each output monomial's coefficient in one dict; coefficients are
-stored as Polys over Fractions.
+stored as Polys, whose integral scalars are ints (poly.exact).
 
 The Harish-Chandra projection keeps the pure-h monomials; everything about
 central characters is built on top of it.
@@ -86,17 +86,12 @@ def _mul_rank1(m1: FactorExp, m2: FactorExp):
 
 def _accumulate(acc: dict, mono: Monomial, coef_terms: dict, scale: int) -> None:
     """Add coef * scale into acc[mono], a {poly monomial: coefficient} dict;
-    coef is given by its terms, with integral values as ints."""
+    coef is given by its terms."""
     slot = acc.get(mono)
     if slot is None:
         slot = acc[mono] = {}
     for pm, c in coef_terms.items():
         slot[pm] = slot.get(pm, 0) + c * scale
-
-
-def _int_terms(p: Poly) -> dict:
-    """The terms of p, integral coefficients as ints (cheaper to multiply)."""
-    return {m: c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
 
 
 class Algebra:
@@ -260,7 +255,7 @@ class Element:
         for (fac1, perm1), p1 in self.terms.items():
             inv1 = perm_inverse(perm1)
             for (fac2, perm2), p2 in other.terms.items():
-                coef = _int_terms(p1 * p2)
+                coef = (p1 * p2).terms
                 perm = perm_compose(perm1, perm2)
                 per_factor = [
                     _mul_rank1(fac1[i], fac2[inv1[i]]).items() for i in range(n)
@@ -375,13 +370,13 @@ def hc_projection(a: Element) -> Element:
     return Element(a.algebra, kept)
 
 
-def _eval_h_monomial(lam, factors) -> "Poly | Fraction":
-    result = Fraction(1)
+def _eval_h_monomial(lam, factors) -> "Poly | int | Fraction":
+    result = 1
     for coord, (a, b, c) in zip(lam, factors):
         if a or c:
             raise ValueError("not a pure h monomial")
         if b:
-            result *= coord**b if isinstance(coord, Poly) else Fraction(coord) ** b
+            result *= coord**b
     return result
 
 
@@ -389,20 +384,18 @@ def central_character(gamma: GammaSpec, lam: Weight, r: Element) -> dict:
     """chi_lam(r): for each group part fixing lam, evaluate lam on the
     Harish-Chandra projection of its coefficient.
 
-    Returns {perm: value}; values are Fractions, or Polys when the input has
+    Returns {perm: value}; values are Polys, constant unless the input has
     symbolic coefficients or the weight has symbolic coordinates.  gamma is
     not read: the group parts come from r itself, so callers may pass None.
     """
     alg = r.algebra
     if alg.n != len(lam):
         raise ValueError("rank mismatch")
-    numeric_lam = None
-    if all(isinstance(c, (Fraction, int)) for c in lam):
-        numeric_lam = tuple(Fraction(c) for c in lam)
+    numeric = all(isinstance(c, (int, Fraction)) for c in lam)
     out: dict[Perm, object] = {}
     xi = hc_projection(r)
     for (factors, perm), coef in xi.terms.items():
-        if numeric_lam is not None and perm_act(perm, numeric_lam) != numeric_lam:
+        if numeric and perm_act(perm, lam) != lam:
             continue
         term = coef * _eval_h_monomial(lam, factors)
         prev = out.get(perm)
@@ -412,15 +405,13 @@ def central_character(gamma: GammaSpec, lam: Weight, r: Element) -> dict:
 
 def central_character_numeric(gamma: GammaSpec, lam: Weight, r: Element) -> dict:
     """Like central_character but requiring parameter-free coefficients."""
-    out = central_character(gamma, lam, r)
     numeric = {}
-    for perm, val in out.items():
-        poly = Poly.coerce(val) if not isinstance(val, Poly) else val
-        if not poly.is_constant():
+    for perm, val in central_character(gamma, lam, r).items():
+        if not val.is_constant():
             raise ValueError(
                 "symbolic parameters present; supply evaluation values"
             )
-        numeric[perm] = poly.constant_value()
+        numeric[perm] = val.constant_value()
     return numeric
 
 
@@ -535,7 +526,7 @@ def coproduct_pair(a: Element) -> Element:
         if perm != (0,):
             raise ValueError("group parts have no coproduct here")
         av, bv, cv = factors[0]
-        terms = _int_terms(coef)
+        terms = coef.terms
         for a1, b1, c1 in itertools.product(
             range(av + 1), range(bv + 1), range(cv + 1)
         ):
@@ -579,7 +570,7 @@ def m_one_S_delta(a: Element, i: int, j: int, n: int | None = None) -> Element:
     for (legs, _), coef in coproduct_pair(a).terms.items():
         factors = [(0, 0, 0)] * n
         factors[i] = legs[0]
-        terms = _int_terms(coef)
+        terms = coef.terms
         for key, scale in _antipode_rank1(legs[1]).items():
             factors[j] = key
             _accumulate(acc, (tuple(factors), identity), terms, scale)

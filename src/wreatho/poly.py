@@ -2,9 +2,10 @@
 
 Coefficients throughout the package are elements of Q[c, d, u, v, t0, t1, ...]
 (any string is accepted as a variable name).  A polynomial is a dict mapping
-monomials to nonzero Fractions, where a monomial is a sorted tuple of
+monomials to nonzero coefficients, where a monomial is a sorted tuple of
 (variable, exponent) pairs with positive exponents; the empty tuple is the
-constant monomial.  Zero coefficients are never stored.
+constant monomial.  Zero coefficients are never stored; every coefficient,
+like every weight coordinate, is stored as `exact` makes it.
 """
 
 from __future__ import annotations
@@ -18,30 +19,34 @@ Monomial = tuple  # tuple[tuple[str, int], ...]
 _ONE_MONO: Monomial = ()
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact(x) -> Scalar:
+    """The one canonical form of an exact scalar: an int when x is
+    integral, else a Fraction; TypeError on a float or any other type."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
 class Poly:
-    """A polynomial with Fraction coefficients in named commuting variables."""
+    """A polynomial over Q in named commuting variables."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        self.terms: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coef in terms.items():
+                coef = exact(coef)
                 if coef:
-                    self.terms[mono] = _as_fraction(coef)
+                    self.terms[mono] = coef
 
     @staticmethod
     def const(x: Scalar) -> "Poly":
-        x = _as_fraction(x)
-        return Poly({_ONE_MONO: x}) if x else Poly()
+        return Poly({_ONE_MONO: x})
 
     @staticmethod
     def var(name: str, exp: int = 1) -> "Poly":
@@ -49,13 +54,11 @@ class Poly:
             raise ValueError("negative exponent")
         if exp == 0:
             return Poly.const(1)
-        return Poly({((name, exp),): Fraction(1)})
+        return Poly({((name, exp),): 1})
 
     @staticmethod
     def coerce(x) -> "Poly":
-        if isinstance(x, Poly):
-            return x
-        return Poly.const(x)
+        return x if isinstance(x, Poly) else Poly.const(x)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -63,10 +66,10 @@ class Poly:
     def is_constant(self) -> bool:
         return all(m == _ONE_MONO for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return self.terms.get(_ONE_MONO, 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -93,11 +96,7 @@ class Poly:
         other = Poly.coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return Poly(out)
 
     __radd__ = __add__
@@ -114,28 +113,20 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                return Poly()
-            return Poly({m: v * c for m, v in self.terms.items()})
+            return Poly({m: v * other for m, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = _as_fraction(other)
-        return self * (Fraction(1) / c)
+        return self * Fraction(1, other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -163,15 +154,15 @@ class Poly:
             out = out + term
         return out
 
-    def linear_parts(self) -> dict[str, Fraction]:
+    def linear_parts(self) -> dict[str, Scalar]:
         """For a polynomial that is homogeneous linear in its variables,
         return {variable: coefficient}.  Raises if any term is nonlinear or
         constant."""
-        out: dict[str, Fraction] = {}
+        out: dict[str, Scalar] = {}
         for mono, coef in self.terms.items():
             if len(mono) != 1 or mono[0][1] != 1:
                 raise ValueError(f"not homogeneous linear: {self}")
-            out[mono[0][0]] = out.get(mono[0][0], Fraction(0)) + coef
+            out[mono[0][0]] = coef
         return out
 
     def __repr__(self):

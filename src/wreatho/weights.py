@@ -2,8 +2,9 @@
 
 Weights are plain tuples of rational coordinates; the rank is the tuple
 length.  A coordinate is an int when it is integral and a Fraction
-otherwise (see coord): the two hash, compare and print alike, and the
-lattice arithmetic (c - 2k, -c - 2) keeps an int an int, so integral
+otherwise, never a float (coord stores what poly.exact makes, as Poly
+does with its coefficients): the two hash, compare and print alike, and
+the lattice arithmetic (c - 2k, -c - 2) keeps an int an int, so integral
 weights run on machine integers.  The i-th simple root is 2*e_i, so
 mu <= lam iff every difference lam_i - mu_i is a nonnegative even integer.
 
@@ -31,6 +32,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import linalg
+from .poly import exact
 
 Weight = tuple  # tuple[int | Fraction, ...], each coordinate as coord makes it
 Perm = tuple  # tuple[int, ...]; p[i] is the image of coordinate i
@@ -45,10 +47,10 @@ class InternalConsistencyError(RuntimeError):
 
 
 def coord(c) -> int | Fraction:
-    """The canonical coordinate of c (an int, Fraction or rational string):
-    an int when it is integral, else a Fraction."""
-    q = Fraction(c)
-    return q.numerator if q.denominator == 1 else q
+    """The canonical coordinate of c, an int, a Fraction or a rational
+    string: poly.exact of it, so an int when it is integral, else a
+    Fraction.  A float, even an integral one, raises TypeError."""
+    return exact(parse_rational(c) if isinstance(c, str) else c)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -70,7 +72,7 @@ def parse_weight(text: str) -> Weight:
                 "expected a rational like 3 or -1/2"
             )
         try:
-            out.append(coord(parse_rational(part)))
+            out.append(coord(part))
         except ValueError:
             raise ValueError(
                 f"malformed weight {text!r}: bad entry {part!r} at position "
@@ -529,8 +531,8 @@ def _kostant_count(roots: tuple, residual: Weight, idx: int) -> int:
     return total
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 @lru_cache(maxsize=None)
@@ -550,13 +552,13 @@ def _separating_functional(roots: tuple) -> Weight:
         # solve sum_j x_j basis_j . roots[s] = 1 for s in subset; the system
         # is regular iff its reduced form has a pivot in every unknown
         aug = [
-            [_dot(basis[j], roots[s]) for j in range(dim)] + [Fraction(1)]
+            [_dot(basis[j], roots[s]) for j in range(dim)] + [1]
             for s in subset
         ]
         if linalg.rref(aug) != list(range(dim)):
             continue
         w = tuple(
-            sum((aug[j][dim] * basis[j][i] for j in range(dim)), Fraction(0))
+            sum(aug[j][dim] * basis[j][i] for j in range(dim))
             for i in range(n)
         )
         if all(_dot(w, r) >= 1 for r in roots):

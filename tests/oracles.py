@@ -765,3 +765,9 @@ def matrix_product(x: dict, y: dict) -> dict:
 
 def identity_matrix(n: int, d: int) -> dict:
     return {(k, k): Fraction(1) for k in itertools.product(range(d), repeat=n)}
+
+
+def is_canonical_scalar(c) -> bool:
+    """The storage rule for exact scalars, restated: an int when integral,
+    else a Fraction with a denominator above 1; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)

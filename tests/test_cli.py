@@ -417,6 +417,11 @@ class TestBadInput:
             ("appendix", "--n", "2", "--f", "1/0"),
             ("appendix", "--n", "2", "--f", "0,x"),
             ("appendix", "--n", "1"),
+            ("block", *_S2, "0,0", "--irrep", "x"),
+            ("char", "--module", "V", *_S2, "0,0", "--depth", "x"),
+            ("pbw", "--n", "x", "--expr", "e1"),
+            ("appendix", "--n", "2", "--wdeg", "x"),
+            ("selftest", "--seed", "x"),
         ],
     )
     def test_json_error_and_exit_1(self, args):

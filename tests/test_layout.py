@@ -1,10 +1,15 @@
-"""The package carries no public code that nothing calls.
+"""The package carries no public code that nothing calls, and makes
+Fractions in only the places listed.
 
 Every public top-level function and class in src/wreatho, and every public
 method of a top-level class, must either be referenced somewhere in src/
 outside its own definition (__init__.py's re-exports and selftest.py's
 checks do not count) or be listed below with the reason it stays.  A new
 public name with no caller fails here until it is used, deleted or listed.
+
+poly.exact alone decides how an exact scalar is stored, so every
+Fraction(...) call in src/wreatho outside selftest.py is listed in
+FRACTION_CALLS with the reason it is not a conversion.
 """
 
 import ast
@@ -27,6 +32,8 @@ ALLOWED = {
     "cli.pbw": _CLICK,
     "cli.appendix": _CLICK,
     "cli.selftest": _CLICK,
+    "cli._Integer.convert": "click's ParamType hook, which click calls to "
+    "parse each integer option",
     "weights.kostant_p": _ORACLE,
     "weights.simple_roots": _ORACLE,
     "skew_o.partial_order_X": "test_order_compatible_with_decomposition checks "
@@ -129,3 +136,51 @@ def test_scan_sees_a_new_uncalled_function(tmp_path):
     with open(tmp_path / "weights.py", "a") as fh:
         fh.write("\n\ndef orphan():\n    return orphan()\n")
     assert _uncalled_public_names(tmp_path) == set(ALLOWED) | {"weights.orphan"}
+
+
+_HALF = "the 1/2 of the definition, an input"
+FRACTION_CALLS = {
+    "weights.parse_rational": "parses a rational from text; coord canonicalizes it",
+    "poly.Poly.__truediv__": "exact division: the inverse of the divisor",
+    "linalg._echelon": "exact division: the inverse of the pivot",
+    "obstruction._proportionality": "exact division of two constants, "
+    "which / would make a float when both are ints",
+    "pbw.Algebra.casimir": _HALF,
+    "pbw.mixed_term": _HALF,
+    "pbw._t_value": "c^2/2, exact when c is an int",
+}
+
+
+def _fraction_calls(src=SRC) -> list:
+    """module.qualname of the scope of each Fraction(...) call, once per
+    call, in every module but selftest.py."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "Fraction":
+                    out.append(".".join(scope))
+            visit(child, scope)
+
+    for p in sorted(src.glob("*.py")):
+        if p.name != "selftest.py":
+            visit(ast.parse(p.read_text()), [p.stem])
+    return sorted(out)
+
+
+def test_every_fraction_call_is_listed_once():
+    assert _fraction_calls() == sorted(FRACTION_CALLS)
+
+
+def test_scan_sees_a_new_fraction_call(tmp_path):
+    for p in SRC.glob("*.py"):
+        (tmp_path / p.name).write_text(p.read_text())
+    with open(tmp_path / "pbw.py", "a") as fh:
+        fh.write("\n\ndef _as_fraction(x):\n    return Fraction(x)\n")
+    assert _fraction_calls(tmp_path) == sorted([*FRACTION_CALLS, "pbw._as_fraction"])

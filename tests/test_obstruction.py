@@ -2,8 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import is_canonical_scalar
 from wreatho.obstruction import (
     DeformationSpec,
+    _linear_system,
+    _proportionality,
     build_deformed_rhs,
     f_of_casimir,
     obstruction_ek,
@@ -174,3 +177,42 @@ class TestNoGo:
             verify_no_go(DeformationSpec(n=4))
         with pytest.raises(ValueError):
             DeformationSpec(n=1)
+
+
+def _walk(value):
+    """Every leaf of a nested report."""
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from _walk(v)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _walk(v)
+    else:
+        yield value
+
+
+class TestCanonicalScalars:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "f", [[], [0, 1], [F(1, 2), 3], [Poly.var("t0"), Poly.var("t1")]]
+    )
+    def test_no_go_systems_hold_canonical_scalars(self, n, f):
+        spec = DeformationSpec(n=n, f_coeffs=f)
+        rhs = build_deformed_rhs(spec)
+        obstructions = [obstruction_ek(spec, k) for k in range(n)]
+        for elem in list(rhs.values()) + obstructions:
+            for poly in elem.terms.values():
+                assert all(is_canonical_scalar(c) for c in poly.terms.values())
+        for row in _linear_system(obstructions, ["c", "d"]):
+            assert all(is_canonical_scalar(c) for c in row)
+        report = verify_no_go(spec)
+        assert report["solution_space_dim"] == 0
+        assert not any(isinstance(leaf, float) for leaf in _walk(report))
+
+    def test_proportionality_divides_exactly(self):
+        # ints divided with / would give a float
+        e = Algebra(1).e(0)
+        for a, b, expected in ((e * 3, e * 2, F(3, 2)), (e * 4, e * -2, -2)):
+            scale = _proportionality(a, b)
+            assert type(scale) is not float and scale == expected
+        assert _proportionality(e * 3, e * 2 + Algebra(1).f(0)) is None

@@ -11,6 +11,7 @@ from oracles import (
     coproduct_pair_by_products,
     enveloping_monomials_by_filtering,
     identity_matrix,
+    is_canonical_scalar,
     m_one_S_delta_by_products,
     matrix_product,
     representation_matrix,
@@ -371,11 +372,37 @@ class TestCoefficientTypes:
         st.integers(0, 3),
     )
     @settings(max_examples=40)
-    def test_products_and_powers_store_fractions(self, pair, k):
+    def test_products_and_powers_store_canonical_scalars(self, pair, k):
         a, b = pair
-        for x in (a * b, a**k, b * F(1, 2), a * 3):
+        for x in (a * b, a**k, b * F(1, 2), a * 3, a * F(4, 2), (b * F(1, 2)) * 2):
             for poly in x.terms.values():
-                assert all(type(c) is F for c in poly.terms.values())
+                assert all(is_canonical_scalar(c) for c in poly.terms.values())
+
+    @pytest.mark.parametrize(
+        "n,dmax,gamma",
+        [(1, 4, None), (2, 2, None), (2, 4, None), (2, 4, "S:2"), (2, 3, "C:2")],
+    )
+    def test_center_basis_stores_canonical_scalars(self, n, dmax, gamma):
+        basis = center_basis_up_to_degree(n, dmax, parse_gamma(gamma) if gamma else None)
+        assert basis
+        for z in basis:
+            for poly in z.terms.values():
+                assert all(is_canonical_scalar(c) for c in poly.terms.values())
+
+    @pytest.mark.parametrize(
+        "lam", [(F(1, 2),), (3,), (F(4, 2), -1), (F(-3, 4), F(5, 2)), (1, 1, F(-1, 3))]
+    )
+    def test_central_character_values_are_canonical(self, lam):
+        alg = Algebra(len(lam))
+        for k in (1, 2, 3):
+            pk = alg.symmetric_center_gen(k)
+            for val in central_character(None, lam, pk).values():
+                assert all(is_canonical_scalar(c) for c in val.terms.values())
+            for val in central_character_numeric(None, lam, pk).values():
+                assert is_canonical_scalar(val)
+        t = Poly.var("t0")
+        for val in central_character(None, (t,) + lam[1:], alg.casimir(0)).values():
+            assert all(is_canonical_scalar(c) for c in val.terms.values())
 
     @given(FACTOR_EXP, FACTOR_EXP)
     @settings(max_examples=100)

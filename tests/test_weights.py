@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gamma_strategies import CHAR_COORD, gamma_specs, pooled_weights
 from oracles import kostant_enumeration
+from wreatho.cato_a import CharacterVB
 from wreatho.weights import (
     CycF,
     _kostant_count,
@@ -217,6 +218,18 @@ class TestParsing:
         assert type(coord(F(4, 2))) is int and type(coord("1/3")) is F
         # int and Fraction coordinates are interchangeable as keys
         assert {lam: 1}[(F(3), F(0), F(-1, 2), F(2), F(-2))] == 1
+
+    def test_floats_are_refused(self):
+        # a float is not an exact rational, even when it is integral
+        for bad in (0.1, 2.0):
+            with pytest.raises(TypeError):
+                coord(bad)
+        with pytest.raises(TypeError):
+            as_weight([0.5, 2.0])
+        with pytest.raises(TypeError):
+            CharacterVB(1, {(0.5,): 1})
+        with pytest.raises(TypeError):
+            kostant_p((2.0,), [(2,)])
 
     def test_weight_errors(self):
         for bad in ("", "1,,2", "a,b", "1/0"):
