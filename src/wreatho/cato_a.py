@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .poly import exact
 from .weights import (
     Weight,
     as_weight,
@@ -92,7 +93,10 @@ class CharacterVB:
         self.terms: dict[Weight, int] = {}
         if terms:
             for hw, coef in dict(terms).items():
-                self._bump(as_weight(hw), int(coef))
+                coef = exact(coef)
+                if type(coef) is not int:
+                    raise ValueError(f"multiplicity {coef} is not an integer")
+                self._bump(as_weight(hw), coef)
 
     def _bump(self, hw: Weight, coef: int) -> None:
         if len(hw) != self.rank:
@@ -161,7 +165,7 @@ class CharacterVB:
         for t in data["terms"]:
             hw = tuple(coord(c) for c in t["hw"])
             rank = len(hw)
-            terms[hw] = int(t["coef"])
+            terms[hw] = t["coef"]
         if rank is None:
             raise ValueError("empty character needs an explicit rank")
         return CharacterVB(rank, terms)

@@ -155,6 +155,12 @@ def simples(gamma_text, weight_text, fmt):
             )
 
 
+_BLOCK_IRREP_HELP = (
+    "index of a simple over the weight; every index gives the same block, "
+    "since the block depends only on the weight's orbit"
+)
+
+
 def _simple_at(gamma, weight, irrep_index):
     """The --irrep-th simple over the weight, in classify_X_over order."""
     xs = classify_X_over(gamma, weight)
@@ -166,7 +172,8 @@ def _simple_at(gamma, weight, irrep_index):
 @main.command()
 @click.option("--gamma", "gamma_text", required=True)
 @click.option("--weight", "weight_text", required=True)
-@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER)
+@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER,
+              help=_BLOCK_IRREP_HELP)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "dot", "text"]))
 def block(gamma_text, weight_text, irrep_index, fmt):
     """Linkage class and D/F/C/C' matrices of the block over a weight."""
@@ -186,7 +193,8 @@ def block(gamma_text, weight_text, irrep_index, fmt):
 @main.command()
 @click.option("--gamma", "gamma_text", required=True)
 @click.option("--weight", "weight_text", required=True)
-@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER)
+@click.option("--irrep", "irrep_index", default=0, show_default=True, type=_INTEGER,
+              help=_BLOCK_IRREP_HELP)
 @click.option("--format", "fmt", default="csv", type=click.Choice(["csv", "json"]))
 def matrices(gamma_text, weight_text, irrep_index, fmt):
     """The four block matrices only."""
@@ -300,6 +308,9 @@ def pbw(rank, expr, fmt):
         value = parse_expr(expr, alg)
     except ValueError as exc:
         _fail(str(exc), expr=expr)
+    except RecursionError:
+        # _mul_rank1 recurses once per e of its left factor
+        _fail("expression too large", expr=expr)
     if fmt == "json":
         click.echo(json.dumps(element_to_json(value)))
     else:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 
 from . import linalg
 from .pbw import (
@@ -68,66 +69,58 @@ def f_of_casimir(alg: Algebra, i: int, f_coeffs) -> Element:
     return total
 
 
-def build_deformed_rhs(spec: DeformationSpec, w=None) -> dict:
-    """The right sides of the deformed relations, keyed by (i, j).
+def build_deformed_rhs(spec: DeformationSpec) -> dict:
+    """The right sides of the deformed relations, keyed by (i, j), with c, d,
+    u, v symbolic.
 
-    c, d, u, v enter symbolically; w (optional {(i,j): Element}) defaults to
-    zero and is otherwise added verbatim to the off-diagonal entries.
+    s_ij and M_ij are built once per ordered pair: the diagonal relation of
+    i reads M_il for every l != i, the off-diagonal relation (i, j) reads M_ij.
     """
     alg = Algebra(spec.n)
     c, d = Poly.var("c"), Poly.var("d")
     u, v = Poly.var("u"), Poly.var("v")
+    omega = Algebra(1).casimir(0)
+    pairs = list(permutations(range(spec.n), 2))
+    s = {p: alg.transposition(*p) for p in pairs}
+    m = {p: m_one_S_delta(omega, *p, spec.n) for p in pairs}
     out = {}
     for i in range(spec.n):
         rhs = f_of_casimir(alg, i, spec.f_coeffs)
         for l in range(spec.n):
-            if l == i:
-                continue
-            m_il = m_one_S_delta(alg_rank1_casimir(), i, l, spec.n)
-            s_il = alg.transposition(i, l)
-            rhs = rhs + (s_il * c + alg.one() * d) * m_il
+            if l != i:
+                rhs = rhs + (s[i, l] * c + alg.one() * d) * m[i, l]
         out[(i, i)] = rhs
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if i == j:
-                continue
-            s_ij = alg.transposition(i, j)
-            m_ij = m_one_S_delta(alg_rank1_casimir(), i, j, spec.n)
-            rhs = s_ij * u + (s_ij * m_ij) * v
-            if w and (i, j) in w:
-                rhs = rhs + w[(i, j)]
-            out[(i, j)] = rhs
+    for p in pairs:
+        out[p] = s[p] * u + (s[p] * m[p]) * v
     return out
-
-
-def alg_rank1_casimir() -> Element:
-    return Algebra(1).casimir(0)
 
 
 def obstruction_ek(spec: DeformationSpec, k: int) -> Element:
     """[e_k, sum_i RHS(i,i)], normal-formed; linear in c and d."""
     if not 0 <= k < spec.n:
         raise ValueError("k out of range")
-    return _obstruction_ek(build_deformed_rhs(spec), Algebra(spec.n), k)
+    alg = Algebra(spec.n)
+    return commutator(alg.e(k), _diagonal_sum(build_deformed_rhs(spec), alg))
 
 
-def _obstruction_ek(rhs: dict, alg: Algebra, k: int) -> Element:
+def _diagonal_sum(rhs: dict, alg: Algebra) -> Element:
     total = alg.zero()
     for i in range(alg.n):
         total = total + rhs[(i, i)]
-    return commutator(alg.e(k), total)
+    return total
+
+
+def _weight_defects(a: Element, eta) -> list:
+    """[h_l, a] - eta_l a for every l: all vanish iff a has ad-h weight eta."""
+    alg = a.algebra
+    if len(eta) != alg.n:
+        raise ValueError("rank mismatch")
+    return [commutator(alg.h(l), a) - a * eta[l] for l in range(alg.n)]
 
 
 def weight_vector_check(a: Element, eta) -> bool:
     """True iff [h_i, a] = eta_i * a exactly, for every i."""
-    alg = a.algebra
-    if len(eta) != alg.n:
-        raise ValueError("rank mismatch")
-    for i in range(alg.n):
-        lhs = commutator(alg.h(i), a)
-        if not (lhs - a * eta[i]).is_zero():
-            return False
-    return True
+    return all(defect.is_zero() for defect in _weight_defects(a, eta))
 
 
 def witness_monomial(spec: DeformationSpec, i: int, k: int):
@@ -171,7 +164,7 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     report: dict = {}
 
     # sign and scale of the engine mixed term against e_i f_j + f_i e_j + h_i h_j/2
-    m_engine = m_one_S_delta(alg_rank1_casimir(), 0, 1, spec.n)
+    m_engine = m_one_S_delta(Algebra(1).casimir(0), 0, 1, spec.n)
     residual = m_engine - alg.casimir(0) - alg.casimir(1)
     m_ref = mixed_term(spec.n, 0, 1)
     scale = _proportionality(residual, m_ref)
@@ -184,9 +177,9 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     rhs = build_deformed_rhs(spec)
 
     # diagonal obstruction: c first (single witness), then d
-    obstructions = [_obstruction_ek(rhs, alg, k) for k in range(spec.n)]
-    i_wit = 1 if spec.n >= 2 else 0
-    wit = witness_monomial(spec, i=i_wit, k=0)
+    diagonal = _diagonal_sum(rhs, alg)
+    obstructions = [commutator(alg.e(k), diagonal) for k in range(spec.n)]
+    wit = witness_monomial(spec, i=1, k=0)
     wit_coef = obstructions[0].coefficient(wit)
     wit_parts = wit_coef.linear_parts()
     report["witnesses"] = {
@@ -198,38 +191,25 @@ def verify_no_go(spec: DeformationSpec) -> dict:
     cd_rank = linalg.rank(cd_rows)
     d_forced_after_c = linalg.in_row_space(cd_rows, [0, 1])
 
-    # off-diagonal: weight-vector conditions in u, v
+    # off-diagonal: RHS(i,j) must have ad-h weight eta_j - eta_i, linear in u, v
+    targets = {
+        (i, j): tuple(int(l == j) - int(l == i) for l in range(spec.n))
+        for i, j in permutations(range(spec.n), 2)
+    }
     uv_elements = []
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if i == j:
-                continue
-            target = [0] * spec.n
-            target[j] += 1
-            target[i] -= 1
-            r = rhs[(i, j)]
-            for l in range(spec.n):
-                uv_elements.append(commutator(alg.h(l), r) - r * target[l])
+    for p, eta in targets.items():
+        uv_elements.extend(_weight_defects(rhs[p], eta))
     uv_rows = _linear_system(uv_elements, ["u", "v"])
     uv_rank = linalg.rank(uv_rows)
 
     # w_{ij}: exact lattice check; every bounded-degree monomial has even
-    # ad-h weight, the target eta_j - eta_i does not
-    w_all_forced = True
+    # ad-h weight, no target eta_j - eta_i is even
+    lattice_targets = set(targets.values())
     w_bad = None
     for factors in enveloping_monomials(spec.n, spec.w_degree):
-        wt = ad_h_weight(factors)
-        for i in range(spec.n):
-            for j in range(spec.n):
-                if i == j:
-                    continue
-                target = tuple(
-                    (1 if l == j else 0) - (1 if l == i else 0)
-                    for l in range(spec.n)
-                )
-                if wt == target:
-                    w_all_forced = False
-                    w_bad = factors
+        if ad_h_weight(factors) in lattice_targets:
+            w_bad = factors
+    w_all_forced = w_bad is None
     report["w_lattice_check"] = {
         "degree_bound": spec.w_degree,
         "all_weights_even": w_all_forced,

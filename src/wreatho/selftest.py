@@ -45,12 +45,12 @@ def _require(ok: bool) -> None:
         raise InternalConsistencyError("the checked identity does not hold")
 
 
-def _random_weight(rng: random.Random, n: int, integral=None):
+def _random_weight(rng: random.Random, n: int):
     coords = []
     for _ in range(n):
         num = rng.randint(-4, 4)
         den = 1
-        if integral is False or (integral is None and rng.random() < 0.4):
+        if rng.random() < 0.4:
             den = rng.choice([2, 3])
         coords.append(Fraction(num, den))
     return tuple(coords)

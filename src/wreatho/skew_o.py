@@ -263,7 +263,11 @@ def _is_symmetric(a) -> bool:
 
 
 def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
-    """D, F, C, C' over the linkage set of x, sorted highest first.
+    """D, F, C, C' over s3_skew(x), sorted highest first.
+
+    The block depends only on x.orbit_rep: the rows are the Gamma-saturated
+    S^3 set of the orbit, the union of the linkage classes of every simple
+    over it, so every simple over the orbit gives the same block.
 
     Duality permutes the simples: F is the matrix of the involution sigma
     with F[sigma(j)][j] = 1.  So reciprocity C = F D^T F D reads

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from oracles import truncated_sl2_factors
 from wreatho.cato_a import (
     CharacterVB,
@@ -179,6 +181,25 @@ class TestCharacters:
     def test_json_round_trip(self):
         ch = ch_simple_A(w(2, F(1, 2)))
         assert CharacterVB.from_json(ch.to_json()) == ch
+
+    def test_fractional_multiplicity_refused(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            CharacterVB(1, {(0,): F(3, 2)})
+
+    def test_float_multiplicity_refused(self):
+        with pytest.raises(TypeError):
+            CharacterVB(1, {(0,): 1.9})
+
+    def test_scale_refuses_a_fractional_multiplicity(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            CharacterVB(1, {(0,): 3}).scale(F(1, 2))
+        halved = CharacterVB(1, {(0,): 2}).scale(F(1, 2))
+        assert halved.terms == {(0,): 1} and type(halved.terms[(0,)]) is int
+
+    def test_from_json_refuses_a_float_coefficient(self):
+        data = {"basis": "verma", "terms": [{"hw": ["0"], "coef": 1.5}]}
+        with pytest.raises(TypeError):
+            CharacterVB.from_json(data)
 
 
 class TestDims:

@@ -367,6 +367,14 @@ class TestPbw:
             assert r.exit_code == 1
             assert json.loads(r.stderr)["error"] == message
 
+    @pytest.mark.parametrize("expr", ["e1^700*f1", "e1^1024"])
+    def test_too_deep_fails_with_json(self, expr):
+        r = run("pbw", "--n", "1", "--expr", expr)
+        assert r.exit_code == 1
+        assert type(r.exception) is SystemExit
+        assert "Traceback" not in r.output
+        assert json.loads(r.stderr) == {"error": "expression too large", "expr": expr}
+
 
 class TestAppendix:
     @pytest.mark.parametrize("rank", [2, 3])

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import is_canonical_scalar
+from oracles import is_canonical_scalar, m_one_S_delta_by_products
 from wreatho.obstruction import (
     DeformationSpec,
     _linear_system,
@@ -42,6 +42,30 @@ class TestDeformedRHS:
             + (alg.transposition(0, 1) * c + alg.one() * d) * m01
         )
         assert rhs[(0, 0)] == expected
+
+    def test_every_relation_from_the_definition_n3(self):
+        # each relation written out with M_ij from the product oracle; M_01
+        # and M_02 differ, so reading the wrong pair fails
+        f = [Poly.var("t0"), Poly.var("t1")]
+        rhs = build_deformed_rhs(DeformationSpec(n=3, f_coeffs=f))
+        alg = Algebra(3)
+        c, d = Poly.var("c"), Poly.var("d")
+        u, v = Poly.var("u"), Poly.var("v")
+        omega = Algebra(1).casimir(0)
+        assert set(rhs) == {(i, j) for i in range(3) for j in range(3)}
+        for (i, j), got in rhs.items():
+            if i == j:
+                expected = f_of_casimir(alg, i, f)
+                for l in range(3):
+                    if l != i:
+                        m_il = m_one_S_delta_by_products(omega, i, l, 3)
+                        s_il = alg.transposition(i, l)
+                        expected = expected + (s_il * c + alg.one() * d) * m_il
+            else:
+                m_ij = m_one_S_delta_by_products(omega, i, j, 3)
+                s_ij = alg.transposition(i, j)
+                expected = s_ij * u + (s_ij * m_ij) * v
+            assert got == expected, (i, j)
 
 
 class TestFOfCasimir:
@@ -89,6 +113,17 @@ class TestObstruction:
         ce = d_part.coefficient(e0h1).linear_parts()
         ch = d_part.coefficient(h0e1).linear_parts()
         assert ce == {"d": F(4)} and ch == {"d": F(-4)}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_commutator_with_the_diagonal_sum(self, n):
+        spec = DeformationSpec(n=n, f_coeffs=[Poly.var("t0"), 1])
+        rhs = build_deformed_rhs(spec)
+        alg = Algebra(n)
+        total = alg.zero()
+        for i in range(n):
+            total = total + rhs[(i, i)]
+        for k in range(n):
+            assert obstruction_ek(spec, k) == commutator(alg.e(k), total)
 
 
 class TestWeightVectors:
@@ -171,6 +206,16 @@ class TestNoGo:
         engine = m_one_S_delta(Algebra(1).casimir(0), 0, 1, 2)
         alg = Algebra(2)
         assert engine - alg.casimir(0) - alg.casimir(1) == mixed_term(2, 0, 1) * (-2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("w_degree", range(7))
+    def test_no_monomial_hits_a_target(self, n, w_degree):
+        check = verify_no_go(DeformationSpec(n=n, w_degree=w_degree))["w_lattice_check"]
+        assert check == {
+            "degree_bound": w_degree,
+            "all_weights_even": True,
+            "counterexample": None,
+        }
 
     def test_rank_cap(self):
         with pytest.raises(ValueError):

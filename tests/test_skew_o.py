@@ -456,6 +456,28 @@ class TestBlockMatrices:
                 assert again.order == base.order
                 assert again.D == base.D and again.Cprime == base.Cprime
 
+    @pytest.mark.parametrize(
+        "gamma_text, weight_text",
+        [
+            ("S:2,2,2", "0,0,1,1,2,3"),
+            ("C:3", "1,1,1"),
+            ("S:3;C:2", "4,4,4,4,4"),
+            ("C:6", "0,1,0,1,0,1"),
+            ("S:2;C:3;1:1", "0,0,1,2,3,1/2"),
+            ("S:4", "1/2,1/2,0,0"),
+        ],
+    )
+    def test_block_does_not_depend_on_the_irrep(self, gamma_text, weight_text):
+        # the rows are the Gamma-saturated S^3 set of the orbit, which is the
+        # union of the linkage classes of every simple over the orbit
+        gamma, lam = parse_gamma(gamma_text), parse_weight(weight_text)
+        xs = classify_X_over(gamma, lam)
+        assert len(xs) > 1
+        blocks = [block_matrices(gamma, x) for x in xs]
+        assert all(bd.to_json() == blocks[0].to_json() for bd in blocks)
+        linked = set().union(*(s3_component(gamma, x) for x in xs))
+        assert set(blocks[0].order) == linked
+
     def test_dot_export(self):
         xs = classify_X_over(S2, w(0, 0))
         dot = block_matrices(S2, xs[0]).to_dot()
