@@ -309,7 +309,7 @@ def pbw(rank, expr, fmt):
     except ValueError as exc:
         _fail(str(exc), expr=expr)
     except RecursionError:
-        # _mul_rank1 recurses once per e of its left factor
+        # the expression parser recurses once per nesting level
         _fail("expression too large", expr=expr)
     if fmt == "json":
         click.echo(json.dumps(element_to_json(value)))

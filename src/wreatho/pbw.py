@@ -2,20 +2,25 @@
 
 Monomials are f^a h^b e^c per tensor factor (in that order), factors in
 index order, one group permutation on the right; coefficients are exact
-polynomials in named parameters.  Products reduce through the rank-1 rules
+polynomials in named parameters.  The rank-1 product is the closed form
+of the divided-power commutation formula of Kostant's Z-form (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 26.2)
 
-    e f^A h^B e^C  ->  f^A (h-2)^B e^{C+1} + A f^{A-1} (h - A + 1) h^B e^C
+    e^c f^A = sum_{t <= min(c, A)} binom(c, t) binom(A, t) t!
+              f^{A-t} prod_{s < t} (h - c - A + 2t - s) e^{c-t},
 
-together with h f = f(h-2), cross-factor commutativity, and gamma a =
-gamma(a) gamma.  The rewriting terminates and is confluent (the normal form
-is the PBW basis), which the associativity self-tests exercise.
+with h^b f^k = f^k (h - 2k)^b and e^k h^B = (h - 2k)^B e^k moving the
+outer powers of h inward.  Different factors commute, and gamma a =
+gamma(a) gamma moves the group to the right.  The normal form is the PBW
+basis, which the associativity self-tests exercise.
 
-Every structure constant of these rules is an integer (binomials, powers
-of -2A, A and -A(A-1)), so `_mul_rank1` and the products work in plain
-ints; a denominator enters a coefficient only from an input, such as the
-1/2 in the Casimir.  A product forms p1 * p2 once per pair of terms and
-collects each output monomial's coefficient in one dict; coefficients are
-stored as Polys, whose integral scalars are ints (poly.exact).
+Every structure constant is an integer (binomials, t! and the
+coefficients of products of linear factors h + r with integer r), so
+`_mul_rank1` and the products work in plain ints; a denominator enters a
+coefficient only from an input, such as the 1/2 in the Casimir.  A product
+forms p1 * p2 once per pair of terms and collects each output monomial's
+coefficient in one dict; coefficients are stored as Polys, whose integral
+scalars are ints (poly.exact).
 
 The Harish-Chandra projection keeps the pure-h monomials; everything about
 central characters is built on top of it.
@@ -50,37 +55,39 @@ FactorExp = tuple  # (a, b, c): exponents of f, h, e
 Monomial = tuple  # (factors: tuple[FactorExp, ...], perm: Perm)
 
 
+def _times_linear(poly: list, r: int) -> None:
+    """Multiply the coefficient list poly (poly[k] of h^k) by h + r in place."""
+    poly.append(0)
+    for k in range(len(poly) - 1, 0, -1):
+        poly[k] = poly[k - 1] + r * poly[k]
+    poly[0] *= r
+
+
 @lru_cache(maxsize=None)
 def _mul_rank1(m1: FactorExp, m2: FactorExp):
-    """Normal form of (f^a h^b e^c)(f^A h^B e^C) as {(a,b,c): int}."""
+    """Normal form of (f^a h^b e^c)(f^A h^B e^C) as {(a,b,c): int}.
+
+    Term t of e^c f^A moves h^b right past f^{A-t} and h^B left past
+    e^{c-t}; its h-part is the product of the linear factors h + r below.
+    The keys differ in t or in the power of h, so nothing collects.
+    """
     a, b, c = m1
     A, B, C = m2
-    if c == 0:
-        # h^b f^A = f^A (h - 2A)^b; the keys differ in k, so nothing collects
-        out: dict[FactorExp, int] = {}
-        for k in range(b + 1):
-            coef = comb(b, k) * (-2 * A) ** (b - k)
+    out: dict[FactorExp, int] = {}
+    scale = 1  # binom(c, t) binom(A, t) t!
+    for t in range(min(c, A) + 1):
+        if t:
+            scale = scale * (c - t + 1) * (A - t + 1) // t
+        h = [1]
+        for _ in range(b):
+            _times_linear(h, -2 * (A - t))
+        for r in range(2 * t - c - A, t - c - A, -1):
+            _times_linear(h, r)
+        for _ in range(B):
+            _times_linear(h, -2 * (c - t))
+        for k, coef in enumerate(h):
             if coef:
-                out[(a + A, k + B, C)] = coef
-        return out
-    # peel one e off the left factor: e f^A h^B = f^A (h-2)^B e + A f^{A-1}
-    # (h - A + 1) h^B, with pairwise different keys
-    pushed: dict[FactorExp, int] = {
-        (A, k, C + 1): comb(B, k) * (-2) ** (B - k) for k in range(B + 1)
-    }
-    if A > 0:
-        pushed[(A - 1, B + 1, C)] = A
-        if A > 1:
-            pushed[(A - 1, B, C)] = -A * (A - 1)
-    out = {}
-    rest = (a, b, c - 1)
-    for key, coef in pushed.items():
-        for k2, c2 in _mul_rank1(rest, key).items():
-            s = out.get(k2, 0) + coef * c2
-            if s:
-                out[k2] = s
-            else:
-                out.pop(k2, None)
+                out[(a + A - t, k, c - t + C)] = scale * coef
     return out
 
 
@@ -819,6 +826,12 @@ def element_from_json(data: list, alg: Algebra) -> Element:
     for entry in data:
         factors = tuple(tuple(t) for t in entry["monomial"]["factors"])
         perm = tuple(int(p) - 1 for p in entry["monomial"]["group"].split(","))
+        if len(factors) != alg.n or any(
+            len(t) != 3 or any(type(x) is not int or x < 0 for x in t) for t in factors
+        ):
+            raise ValueError(f"not {alg.n} factors of three exponents: {factors}")
+        if sorted(perm) != list(range(alg.n)):
+            raise ValueError(f"not a permutation of 1..{alg.n}: {entry['monomial']['group']}")
         coef_elem = parse_expr(entry["coef"], alg)
         coef = coef_elem.terms.get(alg._unit_monomial())
         if coef is None:

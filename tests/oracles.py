@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from wreatho.weights import (
     GammaSpec,
@@ -686,6 +688,37 @@ def m_one_S_delta_by_products(a: Element, i: int, j: int, n: int) -> Element:
         right = (big.e(j) ** c2) * (big.h(j) ** b2) * (big.f(j) ** a2)
         out = out + left * right * (coef * (-1) ** (a2 + b2 + c2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the rank-1 product by rewriting
+
+
+@lru_cache(maxsize=None)
+def mul_rank1_by_peeling(m1: tuple, m2: tuple) -> dict:
+    """(f^a h^b e^c)(f^A h^B e^C) as {(a,b,c): int}, by peeling one e off
+    the left factor per call: e f^A h^B = f^A (h-2)^B e + A f^{A-1}
+    (h - A + 1) h^B, and h^b f^A = f^A (h - 2A)^b once no e is left.  The
+    recursion is one call deep per e, so keep c well below the interpreter's
+    recursion limit."""
+    a, b, c = m1
+    A, B, C = m2
+    if c == 0:
+        return {
+            (a + A, k + B, C): comb(b, k) * (-2 * A) ** (b - k)
+            for k in range(b + 1)
+            if (-2 * A) ** (b - k)
+        }
+    pushed = {(A, k, C + 1): comb(B, k) * (-2) ** (B - k) for k in range(B + 1)}
+    if A > 0:
+        pushed[(A - 1, B + 1, C)] = A
+        if A > 1:
+            pushed[(A - 1, B, C)] = -A * (A - 1)
+    out: dict = {}
+    for key, coef in pushed.items():
+        for k2, c2 in mul_rank1_by_peeling((a, b, c - 1), key).items():
+            out[k2] = out.get(k2, 0) + coef * c2
+    return {k: v for k, v in out.items() if v}
 
 
 def enveloping_monomials_by_filtering(n: int, dmax: int) -> list:

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -255,12 +257,14 @@ class TestIntegersThroughout:
             json.loads(r.output, parse_float=_no_float)
 
 
+PERFBENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"
+)
+
+
 def _load_tracing():
     """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
-    path = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "perfbench", "tracing.py",
-    )
+    path = os.path.join(PERFBENCH, "tracing.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -284,6 +288,38 @@ class TestTracerHooks:
         for name, fn in tracing.CACHES.items():
             info = fn.cache_info()
             assert info.hits >= 0 and info.misses >= 0, name
+
+
+class TestBenchmarkImports:
+    # perfbench/*.py import these from the package; a name dropped from
+    # wreatho must fail here first, not as outputs_incorrect in a run
+
+    def _imports(self):
+        for fname in sorted(os.listdir(PERFBENCH)):
+            if fname.endswith(".py"):
+                with open(os.path.join(PERFBENCH, fname)) as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        yield fname, node
+
+    def test_every_imported_name_resolves(self):
+        seen = 0
+        for fname, node in self._imports():
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "wreatho":
+                        importlib.import_module(alias.name)
+                        seen += 1
+            elif node.level == 0 and (node.module or "").split(".")[0] == "wreatho":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    # `from package import x` falls back to the submodule x
+                    assert hasattr(module, alias.name) or importlib.util.find_spec(
+                        f"{node.module}.{alias.name}"
+                    ), (fname, node.module, alias.name)
+                    seen += 1
+        assert seen
 
 
 class TestCC:
@@ -367,8 +403,22 @@ class TestPbw:
             assert r.exit_code == 1
             assert json.loads(r.stderr)["error"] == message
 
-    @pytest.mark.parametrize("expr", ["e1^700*f1", "e1^1024"])
-    def test_too_deep_fails_with_json(self, expr):
+    @pytest.mark.parametrize(
+        "expr, printed",
+        [
+            ("e1^700*f1", "-489300*e1^699 + 700*h1*e1^699 + f1*e1^700"),
+            ("e1^1024", "e1^1024"),
+        ],
+        ids=["e1^700*f1", "e1^1024"],
+    )
+    def test_deep_products_compute(self, expr, printed):
+        r = run("pbw", "--n", "1", "--expr", expr)
+        assert r.exit_code == 0
+        assert r.output == printed + "\n"
+
+    def test_too_deep_fails_with_json(self):
+        # the expression parser recurses once per nesting level
+        expr = "(" * 2000 + "e1" + ")" * 2000
         r = run("pbw", "--n", "1", "--expr", expr)
         assert r.exit_code == 1
         assert type(r.exception) is SystemExit

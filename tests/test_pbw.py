@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from oracles import (
     is_canonical_scalar,
     m_one_S_delta_by_products,
     matrix_product,
+    mul_rank1_by_peeling,
     representation_matrix,
     separating_invariants,
 )
@@ -112,6 +114,25 @@ class TestRewriting:
         alg = Algebra(1)
         x = alg.e(0) * alg.f(0)
         assert x * x == x**2
+
+    def test_rank1_product_matches_peeling_below_4(self):
+        exps = list(itertools.product(range(4), repeat=3))
+        for m1 in exps:
+            for m2 in exps:
+                assert _mul_rank1(m1, m2) == mul_rank1_by_peeling(m1, m2), (m1, m2)
+
+    @given(*[st.tuples(*[st.integers(0, 8)] * 3)] * 2)
+    @settings(max_examples=200)
+    def test_rank1_product_matches_peeling(self, m1, m2):
+        assert _mul_rank1(m1, m2) == mul_rank1_by_peeling(m1, m2)
+
+    @pytest.mark.parametrize("c", [1, 2, 10, 700, 1024])
+    def test_e_power_times_f(self, c):
+        # e^c f = f e^c + c h e^(c-1) - c(c-1) e^(c-1)
+        expected = {(1, 0, c): 1, (0, 1, c - 1): c}
+        if c > 1:
+            expected[(0, 0, c - 1)] = -c * (c - 1)
+        assert _mul_rank1((0, 0, c), (1, 0, 0)) == expected
 
 
 class TestAntiInvolution:
@@ -671,3 +692,20 @@ class TestParser:
             a = a + alg.one() * Poly.var("c") * Poly.var("t1")
             data = element_to_json(a)
             assert element_from_json(data, alg) == a
+
+    @pytest.mark.parametrize(
+        "factors, group",
+        [
+            ([[0, 0, 1]], "2"),
+            ([[0, 0, 1]], "1,1"),
+            ([[0, -1, 1]], "1"),
+            ([[0, 0]], "1"),
+            ([[0, 0, 1.0]], "1"),
+            ([[0, 0, 1], [0, 0, 0]], "1"),
+        ],
+        ids=["group-2", "group-1,1", "negative", "two-exponents", "float", "two-factors"],
+    )
+    def test_json_malformed_monomial_refused(self, factors, group):
+        data = [{"monomial": {"factors": factors, "group": group}, "coef": "1"}]
+        with pytest.raises(ValueError):
+            element_from_json(data, Algebra(1))
