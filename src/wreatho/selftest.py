@@ -30,6 +30,7 @@ from .weights import (
     GammaSpec,
     InternalConsistencyError,
     flip_subset,
+    gamma_cells,
     kostant_p,
     leq,
     orbit_of,
@@ -229,6 +230,19 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
             mu = _random_weight(rng, 2)
             cc_equal(gamma, lam, mu)  # raises if the two methods disagree
 
+    def block_product_law():
+        # over several cells the block is a Kronecker product of cell
+        # blocks; each of its D rows must still be the Verma decomposition
+        for _ in range(4):
+            gamma = _random_gamma(rng, rng.randint(2, 3))
+            while len(gamma_cells(gamma)) < 2:
+                gamma = _random_gamma(rng, rng.randint(2, 3))
+            x = classify_X_over(gamma, _random_weight(rng, gamma.n))[0]
+            bd = block_matrices(gamma, x)
+            for y, row in zip(bd.order, bd.D):
+                found = {z: m for z, m in zip(bd.order, row) if m}
+                _require(found == verma_decompose_skew(gamma, y))
+
     check("gamma preserves the order", order_preserved)
     check("flips commute with Gamma", flips_commute_with_gamma)
     check("orbit x stabilizer = |Gamma|", orbit_stabilizer_count)
@@ -241,4 +255,5 @@ def run_selftest(seed: int = 20240901) -> list[tuple[str, bool, str]]:
     check("pbw multiplication associative", pbw_assoc)
     check("anti-involution properties", involution_props)
     check("central characters multiplicative and dual-tested", central_char_props)
+    check("block D rows of a product are Verma decompositions", block_product_law)
     return results

@@ -10,14 +10,26 @@ The group permutes these monomial vectors with no character twist (they are
 plain monomials in commuting tensor factors), so the multiplicity of
 x' = (orbit of flip_T(lam), N') is the exact integer
 <Ind_{stab_T}^{Stab(flip_T(lam))} Res N, N'>.
+
+A block depends only on the weight orbit, so it is built once per
+(Gamma, canonical orbit rep) and every reader shares it: block_matrices
+copies its matrices, and s3_component and s_prime_component read the
+connected components of its graph.  Over one cell of Gamma (a Young
+factor, a cyclic block or a trivial block) the rows of D are the Verma
+decompositions above.  Gamma is the product of its cells' groups, so the
+skew ring is the tensor product of the cells' skew rings, and over
+several cells the block is the product of the cell blocks: D is their
+Kronecker product, D[(i_1..i_m), (j_1..j_m)] = prod_c D_c[i_c][j_c], with
+the simples matched by concat_simplex.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
+from types import MappingProxyType
 
 from .cato_a import (
     CharacterVB,
@@ -46,6 +58,8 @@ from .weights import (
     Weight,
     canonical_orbit_rep,
     flip_subset,
+    format_weight,
+    gamma_cells,
     integral_flip_positions,
     leq,
     orbit_of,
@@ -157,9 +171,9 @@ def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
 # linkage sets
 
 
-def _saturated_simples(gamma: GammaSpec, x: SimpleX, m: int) -> list[SimpleX]:
-    """All simples over the Gamma-saturation of the plain S^m set of x."""
-    reps = {canonical_orbit_rep(gamma, mu) for mu in s_sets_A(x.orbit_rep, m)}
+def _saturated_simples(gamma: GammaSpec, lam: Weight, m: int) -> list[SimpleX]:
+    """All simples over the Gamma-saturation of the plain S^m set of lam."""
+    reps = {canonical_orbit_rep(gamma, mu) for mu in s_sets_A(lam, m)}
     out = [y for rep in sorted(reps) for y in classify_X_over(gamma, rep)]
     out.sort(key=SimpleX.sort_key)
     return out
@@ -172,47 +186,25 @@ def s3_skew(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
     orbit; block matrices are computed over it (they decompose into the
     strict classes, see s3_component).
     """
-    return _saturated_simples(gamma, x, 3)
+    return _saturated_simples(gamma, x.orbit_rep, 3)
 
 
 def s4_skew(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
     """Central character twins: all simples over the saturated dot orbit."""
-    return _saturated_simples(gamma, x, 4)
-
-
-def _closure(gamma: GammaSpec, x: SimpleX, with_duality: bool) -> set[SimpleX]:
-    universe = s3_skew(gamma, x)
-    adjacency: dict[SimpleX, set[SimpleX]] = {y: set() for y in universe}
-    for y in universe:
-        for z in verma_decompose_skew(gamma, y):
-            if z != y:
-                adjacency[y].add(z)
-                adjacency[z].add(y)
-    if with_duality:
-        for y in universe:
-            adjacency[y].add(duality_F(y))
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for y in frontier:
-            for z in adjacency[y]:
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return seen
+    return _saturated_simples(gamma, x.orbit_rep, 4)
 
 
 def s3_component(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
     """The strict linkage class: equivalence closure of x under the Verma
-    subquotient relation and duality."""
-    return sorted(_closure(gamma, x, True), key=SimpleX.sort_key)
+    subquotient relation and duality, read off the block of x's orbit."""
+    validate_simplex(gamma, x)
+    return list(_orbit_block(gamma, x.orbit_rep).classes[x])
 
 
 def s_prime_component(gamma: GammaSpec, x: SimpleX) -> list[SimpleX]:
     """Closure under the subquotient relation only (no duality edges)."""
-    return sorted(_closure(gamma, x, False), key=SimpleX.sort_key)
+    validate_simplex(gamma, x)
+    return list(_orbit_block(gamma, x.orbit_rep).sub_classes[x])
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +249,7 @@ class BlockData:
 
 
 def _is_symmetric(a) -> bool:
-    return all(
-        a[i][j] == a[j][i] for i in range(len(a)) for j in range(len(a))
-    )
+    return a == [list(column) for column in zip(*a)]
 
 
 def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
@@ -267,7 +257,15 @@ def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
 
     The block depends only on x.orbit_rep: the rows are the Gamma-saturated
     S^3 set of the orbit, the union of the linkage classes of every simple
-    over it, so every simple over the orbit gives the same block.
+    over it, so every simple over the orbit gives the same block.  It is
+    computed once per orbit (see _orbit_block); each call returns fresh
+    lists, so callers may mutate them.
+
+    Over one cell of Gamma the rows of D are Verma decompositions.  Over
+    several cells Gamma is the product of its cells' groups, the skew ring
+    is the tensor product of theirs, and so is the block: D is the
+    Kronecker product of the cell blocks' D, with the simples matched by
+    concat_simplex and sorted highest first.
 
     Duality permutes the simples: F is the matrix of the involution sigma
     with F[sigma(j)][j] = 1.  So reciprocity C = F D^T F D reads
@@ -276,34 +274,140 @@ def block_matrices(gamma: GammaSpec, x: SimpleX) -> BlockData:
     C'[i][j] = C[i][sigma(j)].  D must be unitriangular, sigma an involution
     and C' exactly symmetric; otherwise an InternalConsistencyError is raised.
     """
-    xs = sorted(s3_skew(gamma, x), key=_block_sort_key)
-    index = {y: i for i, y in enumerate(xs)}
-    k = len(xs)
+    validate_simplex(gamma, x)
+    shared = _orbit_block(gamma, x.orbit_rep)
+    k = len(shared.order)
     D = [[0] * k for _ in range(k)]
-    for i, y in enumerate(xs):
-        for z, mult in verma_decompose_skew(gamma, y).items():
-            D[i][index[z]] = mult
-    for i in range(k):
-        if D[i][i] != 1:
+    for target, row in zip(D, shared.rows):
+        for j, v in row:
+            target[j] = v
+    F = [[0] * k for _ in range(k)]
+    for row, s in zip(F, shared.sigma):
+        row[s] = 1
+    C = [list(row) for row in shared.C]
+    Cprime = [[row[s] for s in shared.sigma] for row in C]
+    return BlockData(gamma, list(shared.order), D, F, C, Cprime)
+
+
+@dataclass(frozen=True)
+class _OrbitBlock:
+    """The block over one weight orbit, shared by every reader.
+
+    rows[i] lists (j, D[i][j]) over the nonzero entries of row i, j
+    ascending; order[sigma[i]] = duality_F(order[i]); C is the Cartan
+    matrix.  classes and sub_classes map each simple to its linkage class
+    with and without duality edges, sorted by SimpleX.sort_key.
+    """
+
+    order: tuple
+    rows: tuple
+    sigma: tuple
+    C: tuple
+    classes: MappingProxyType
+    sub_classes: MappingProxyType
+
+
+@lru_cache(maxsize=None)
+def _orbit_block(gamma: GammaSpec, rep: Weight) -> _OrbitBlock:
+    """The block over the orbit of the canonical rep, with its checks."""
+    cells = gamma_cells(gamma)
+    if len(cells) == 1:
+        order = sorted(_saturated_simples(gamma, rep, 3), key=_block_sort_key)
+        index = {y: i for i, y in enumerate(order)}
+        rows = [
+            sorted((index[z], m) for z, m in verma_decompose_skew(gamma, y).items())
+            for y in order
+        ]
+    else:
+        order, rows = _product_block(cells, rep)
+        index = {y: i for i, y in enumerate(order)}
+    k = len(order)
+    for i, row in enumerate(rows):
+        if row and row[0][0] < i:
+            raise InternalConsistencyError("D must vanish below the diagonal")
+        if not row or row[0] != (i, 1):
             raise InternalConsistencyError("D must be unitriangular")
-        for j in range(i):
-            if D[i][j]:
-                raise InternalConsistencyError("D must vanish below the diagonal")
-    sigma = [index[duality_F(y)] for y in xs]
+    where = f"the orbit of {format_weight(rep)} under {gamma}"
+    sigma = [index[duality_F(y)] for y in order]
     if any(sigma[s] != i for i, s in enumerate(sigma)):
-        raise InternalConsistencyError(f"duality is not an involution for {x}")
-    F = [[1 if j == s else 0 for j in range(k)] for s in sigma]
-    support = [[(j, v) for j, v in enumerate(row) if v] for row in D]
+        raise InternalConsistencyError(f"duality is not an involution over {where}")
     C = [[0] * k for _ in range(k)]
-    for r, row in enumerate(support):
+    for r, row in enumerate(rows):
         for c, v in row:
             target = C[sigma[c]]
-            for j, u in support[sigma[r]]:
+            for j, u in rows[sigma[r]]:
                 target[j] += v * u
-    Cprime = [[row[s] for s in sigma] for row in C]
-    if not _is_symmetric(Cprime):
-        raise InternalConsistencyError(f"C' not symmetric for {x}")
-    return BlockData(gamma, xs, D, F, C, Cprime)
+    if any(C[i][sigma[j]] != C[j][sigma[i]] for i in range(k) for j in range(i)):
+        raise InternalConsistencyError(f"C' not symmetric over {where}")
+    return _OrbitBlock(
+        tuple(order),
+        tuple(map(tuple, rows)),
+        tuple(sigma),
+        tuple(map(tuple, C)),
+        _linkage_classes(order, rows, enumerate(sigma)),
+        _linkage_classes(order, rows, ()),
+    )
+
+
+def _product_block(cells, rep: Weight):
+    """(order, sparse D rows) over several cells: the Kronecker product of
+    the cell blocks, relabeled by concat_simplex and sorted highest first."""
+    gammas = [
+        GammaSpec((("S", (len(span),)) if kind == "S" else (kind, len(span)),))
+        for kind, span in cells
+    ]
+    parts = [
+        _orbit_block(g, rep[span.start : span.stop])
+        for g, (_, span) in zip(gammas, cells)
+    ]
+    xs = [
+        concat_simplex(gammas, list(combo))
+        for combo in itertools.product(*(part.order for part in parts))
+    ]
+    kron = reduce(_kron, (part.rows for part in parts))
+    ranked = sorted(range(len(xs)), key=lambda t: _block_sort_key(xs[t]))
+    position = [0] * len(ranked)
+    for i, t in enumerate(ranked):
+        position[t] = i
+    order = [xs[t] for t in ranked]
+    rows = [sorted((position[j], v) for j, v in kron[t]) for t in ranked]
+    return order, rows
+
+
+def _kron(a, b) -> list:
+    """Kronecker product of sparse matrices given as rows of (column, value);
+    row and column (p, q) of the product is p * len(b) + q."""
+    kb = len(b)
+    return [
+        [(p * kb + q, u * v) for p, u in row_a for q, v in row_b]
+        for row_a in a
+        for row_b in b
+    ]
+
+
+def _linkage_classes(order, rows, pairs) -> MappingProxyType:
+    """Each simple's connected component of the block's graph, whose edges
+    are the nonzero entries of D and the given index pairs."""
+    parent = list(range(len(order)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    entries = ((i, j) for i, row in enumerate(rows) for j, _ in row)
+    for i, j in itertools.chain(entries, pairs):
+        parent[find(i)] = find(j)
+    members: dict[int, list] = {}
+    for i, y in enumerate(order):
+        members.setdefault(find(i), []).append(y)
+    out = {}
+    for group in members.values():
+        component = tuple(sorted(group, key=SimpleX.sort_key))
+        for y in component:
+            out[y] = component
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------

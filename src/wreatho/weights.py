@@ -342,7 +342,9 @@ class GammaSpec:
             total += sum(data) if kind == "S" else data
         return total
 
+    @lru_cache(maxsize=None)
     def group(self) -> GroupDesc:
+        """Gamma as a GroupDesc, built once per spec."""
         return group_desc(
             self.n,
             (

@@ -12,7 +12,9 @@ weights (they evaluate the package's CharacterVB), and the separating
 invariants over Fractions check cc_equal's integer scaling (they read
 Gamma's cells from weights.gamma_cells), and the product-built coproduct
 and antipode calculus check the binomial construction (they multiply with
-the PBW engine).  The matrices on V(d)^n check the PBW products
+the PBW engine), and the block by decomposition checks the product law for
+blocks (it decomposes every simple with skew_o.verma_decompose_skew over
+skew_o.s3_skew, with no Kronecker product and no shared block).  The matrices on V(d)^n check the PBW products
 themselves: they act with explicit sl2 matrices and never reorder a word."""
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import SimpleNamespace
 
 from wreatho.weights import (
     GammaSpec,
@@ -31,10 +34,11 @@ from wreatho.weights import (
     perm_inverse,
     stabilizer,
 )
-from wreatho.clifford import SimpleX
+from wreatho.clifford import SimpleX, duality_F
 from wreatho.linalg import nullspace
 from wreatho.pbw import Algebra, Element, commutator
 from wreatho.poly import Poly
+from wreatho.skew_o import s3_skew, verma_decompose_skew
 from wreatho.weights import SymF
 
 # ---------------------------------------------------------------------------
@@ -804,3 +808,55 @@ def is_canonical_scalar(c) -> bool:
     """The storage rule for exact scalars, restated: an int when integral,
     else a Fraction with a denominator above 1; never a float."""
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+# ---------------------------------------------------------------------------
+# blocks decomposed simple by simple
+
+
+def block_by_decomposition(gamma: GammaSpec, x: SimpleX) -> SimpleNamespace:
+    """The block of x with every row of D decomposed directly, the Cartan
+    matrices as dense products F D^T F D and C F, and each simple's linkage
+    classes by breadth-first search: s3[y] over the subquotient relation
+    and duality, s_prime[y] over the subquotient relation alone."""
+    universe = s3_skew(gamma, x)
+    order = sorted(universe, key=lambda y: (-sum(y.orbit_rep), y.sort_key()))
+    index = {y: i for i, y in enumerate(order)}
+    k = len(order)
+    decompositions = {y: verma_decompose_skew(gamma, y) for y in universe}
+    D = [[0] * k for _ in range(k)]
+    for i, y in enumerate(order):
+        for z, mult in decompositions[y].items():
+            D[i][index[z]] = mult
+    F = [[int(z == duality_F(y)) for z in order] for y in order]
+    transpose = [list(col) for col in zip(*D)]
+    C = _dense_product(_dense_product(_dense_product(F, transpose), F), D)
+    subquotients = {y: set() for y in universe}
+    for y, terms in decompositions.items():
+        for z in terms:
+            if z != y:
+                subquotients[y].add(z)
+                subquotients[z].add(y)
+    dual = {y: subquotients[y] | {duality_F(y)} for y in universe}
+    return SimpleNamespace(
+        order=order,
+        D=D,
+        F=F,
+        C=C,
+        Cprime=_dense_product(C, F),
+        s3={y: _breadth_first(dual, y) for y in universe},
+        s_prime={y: _breadth_first(subquotients, y) for y in universe},
+    )
+
+
+def _breadth_first(adjacency: dict, start) -> list:
+    seen = {start}
+    frontier = {start}
+    while frontier:
+        frontier = {z for y in frontier for z in adjacency[y]} - seen
+        seen |= frontier
+    return sorted(seen, key=SimpleX.sort_key)
+
+
+def _dense_product(a, b):
+    return [[sum(u * v for u, v in zip(row, col)) for col in zip(*b)] for row in a]

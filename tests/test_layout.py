@@ -72,6 +72,8 @@ ALLOWED = {
     "criterion 09); the center workload of perfbench runs it",
     "pbw.element_from_json": "inverse of element_to_json, which pbw prints; "
     "perfbench/checks.py reads pbw output with it",
+    "skew_o.s3_skew": "the linkage set S3 (acceptance criterion 07); the "
+    "cached block reads the same set by orbit rep through _saturated_simples",
     "skew_o.s4_skew": "the linkage set S4 (acceptance criterion 07)",
     "skew_o.s3_product_cover": "the duality cover of a product "
     "(acceptance criterion 07)",

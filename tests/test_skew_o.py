@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_strategies import CHAR_COORD, MIXED_COORD, gamma_specs, pooled_weights
-from oracles import char_rows_by_evaluation, oracle_decompose
+from oracles import block_by_decomposition, char_rows_by_evaluation, oracle_decompose
 from wreatho.cato_a import CharacterVB, ch_simple_A, length_Z_A
 from wreatho.clifford import (
     SimpleX,
@@ -24,6 +25,7 @@ from wreatho.skew_o import (
     partial_order_X,
     s3_component,
     s3_product_cover,
+    s_prime_component,
     s3_skew,
     s4_skew,
     simples_over_four_setups,
@@ -32,11 +34,13 @@ from wreatho.skew_o import (
 )
 from wreatho.symchars import irrep_dim
 from wreatho.weights import (
+    gamma_cells,
     integral_flip_positions,
     orbit_of,
     parse_gamma,
     parse_weight,
     perm_act,
+    stabilizer,
 )
 
 
@@ -486,6 +490,120 @@ class TestBlockMatrices:
         assert len(solid) == 6
 
 
+def _assert_block_matches_oracle(gamma, x):
+    bd = block_matrices(gamma, x)
+    oracle = block_by_decomposition(gamma, x)
+    assert bd.order == oracle.order
+    assert bd.D == oracle.D
+    assert bd.F == oracle.F
+    assert bd.C == oracle.C
+    assert bd.Cprime == oracle.Cprime
+    for y in bd.order:
+        assert s3_component(gamma, y) == oracle.s3[y], y
+        assert s_prime_component(gamma, y) == oracle.s_prime[y], y
+
+
+@st.composite
+def _multi_cell_cases(draw):
+    gamma = draw(gamma_specs().filter(lambda g: len(gamma_cells(g)) > 1))
+    return gamma, classify_X_over(gamma, draw(pooled_weights(gamma)))[0]
+
+
+class TestProductLaw:
+    # over several cells of Gamma the block is the Kronecker product of the
+    # cell blocks; the oracle decomposes every simple of it directly
+
+    @settings(max_examples=60, deadline=None)
+    @given(_multi_cell_cases())
+    def test_kronecker_block_matches_direct_decomposition(self, case):
+        _assert_block_matches_oracle(*case)
+
+    @pytest.mark.parametrize(
+        "gamma_text, weight_text, size",
+        [
+            ("S:2;S:2", "0,0,1,1", 25),
+            ("S:3;C:2", "4,4,4,4,4", 50),
+            ("S:2;C:3;1:1", "0,0,1,2,3,1/2", 40),
+            # duality pairs the residues 1 and 2 of C:3, so classes join
+            ("C:3;S:2", "1/2,1/2,1/2,0,0", 15),
+        ],
+    )
+    def test_product_blocks_match_direct_decomposition(
+        self, gamma_text, weight_text, size
+    ):
+        gamma = parse_gamma(gamma_text)
+        xs = classify_X_over(gamma, parse_weight(weight_text))
+        assert len(block_matrices(gamma, xs[0]).order) == size
+        for x in xs:
+            _assert_block_matches_oracle(gamma, x)
+
+    def test_young_block_equals_product_of_its_factors(self):
+        lam = w(0, 0, 1, 1)
+        young, product = parse_gamma("S:2,2"), parse_gamma("S:2;S:2")
+        a = block_matrices(young, classify_X_over(young, lam)[0])
+        b = block_matrices(product, classify_X_over(product, lam)[0])
+        assert a.order == b.order
+        assert a.D == b.D
+
+
+class TestSharedBlock:
+    def test_mutating_a_returned_block_leaves_the_next_one_unchanged(self):
+        gamma = parse_gamma("S:2;C:3;1:1")
+        x = classify_X_over(gamma, parse_weight("0,0,1,2,3,1/2"))[0]
+        first = block_matrices(gamma, x)
+        expected = json.dumps(first.to_json())
+        first.D[0][0] = 7
+        first.D[1].clear()
+        first.order.reverse()
+        first.C[0][1] += 1
+        first.C.pop()
+        assert json.dumps(block_matrices(gamma, x).to_json()) == expected
+        component = s3_component(gamma, x)
+        component.clear()
+        assert s3_component(gamma, x)
+
+    def test_product_block_decomposes_only_its_cells(self, monkeypatch):
+        import wreatho.skew_o as so
+
+        calls = []
+
+        def counting(gamma, x):
+            calls.append((gamma, x))
+            return verma_decompose_skew(gamma, x)
+
+        so._orbit_block.cache_clear()
+        so._verma_decompose_terms.cache_clear()
+        monkeypatch.setattr(so, "verma_decompose_skew", counting)
+        gamma = parse_gamma("S:2,2,2,2")
+        x = classify_X_over(gamma, parse_weight("0,0,1,1,2,2,3,3"))[0]
+        assert len(block_matrices(gamma, x).order) == 625
+        # 4 cells x 5 simples; decomposing every simple would take 625
+        assert len(calls) <= 20
+
+
+class TestInvalidSimples:
+    # the block is shared per orbit, so each reader validates its simple first
+
+    def test_non_canonical_orbit_rep(self):
+        lam = w(1, 0)
+        x = SimpleX(lam, stabilizer(S2, lam), ())
+        with pytest.raises(ValueError):
+            s3_component(S2, x)
+
+    def _bogus_cyclic(self):
+        x = classify_X_over(C3, w(0, 0, 0))[0]
+        return SimpleX(x.orbit_rep, x.stab, (7,))
+
+    @pytest.mark.parametrize("reader", [s3_component, s_prime_component])
+    def test_label_naming_no_irrep_in_components(self, reader):
+        with pytest.raises(ValueError):
+            reader(C3, self._bogus_cyclic())
+
+    def test_label_naming_no_irrep_in_block(self):
+        with pytest.raises(ValueError):
+            block_matrices(C3, self._bogus_cyclic())
+
+
 class TestCharactersAndDims:
     def test_dim_over_10(self):
         gamma = S2
@@ -689,6 +807,7 @@ class TestConcurrency:
         import wreatho.skew_o as so
         import wreatho.symchars as sc
 
+        so._orbit_block.cache_clear()
         so._verma_decompose_terms.cache_clear()
         sc.restricted_inner_product.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
