@@ -33,7 +33,6 @@ from .weights import (
     format_weight,
     gamma_cells,
     group_desc,
-    hash_once,
     is_subgroup,
     stabilizer,
 )
@@ -41,17 +40,11 @@ from .weights import (
 
 @dataclass(frozen=True)
 class SimpleX:
-    """A simple object: canonical orbit representative, stabilizer, irrep.
-
-    The hash is computed once and equals the generated value (see
-    weights.hash_once).
-    """
+    """A simple object: canonical orbit representative, stabilizer, irrep."""
 
     orbit_rep: Weight
     stab: GroupDesc
     irrep: Irrep
-
-    __hash__ = hash_once
 
     def sort_key(self):
         return (self.orbit_rep, self.stab.key(), irrep_sort_key(self.stab, self.irrep))

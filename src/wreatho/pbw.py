@@ -102,7 +102,11 @@ def _accumulate(acc: dict, mono: Monomial, coef_terms: dict, scale: int) -> None
 
 
 class Algebra:
-    """Context object fixing the rank; elements are built through it."""
+    """Context object fixing the rank; elements are built through it.
+
+    gamma, when given, is only checked against the rank: the algebra's
+    elements carry their own group parts, so contexts compare by rank.
+    """
 
     def __init__(self, n: int, gamma: GammaSpec | None = None):
         if n < 1:
@@ -110,17 +114,12 @@ class Algebra:
         if gamma is not None and gamma.n != n:
             raise ValueError("gamma rank mismatch")
         self.n = n
-        self.gamma = gamma
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Algebra)
-            and self.n == other.n
-            and self.gamma == other.gamma
-        )
+        return isinstance(other, Algebra) and self.n == other.n
 
     def __hash__(self):
-        return hash((self.n, self.gamma))
+        return hash(self.n)
 
     # -- constructors
 

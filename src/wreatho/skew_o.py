@@ -137,11 +137,6 @@ def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> dict[SimpleX, int]:
     dimM(x) * length of the plain Verma; a mismatch raises.  Each call
     returns a fresh dict, so callers may mutate it.
     """
-    return dict(_verma_decompose_terms(gamma, x))
-
-
-@lru_cache(maxsize=None)
-def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
     validate_simplex(gamma, x)
     lam = x.orbit_rep
     out: dict[SimpleX, int] = {}
@@ -164,7 +159,7 @@ def _verma_decompose_terms(gamma: GammaSpec, x: SimpleX) -> tuple:
         raise InternalConsistencyError(
             f"restricted length {actual} != {expected} for {x}"
         )
-    return tuple(out.items())
+    return out
 
 
 # ---------------------------------------------------------------------------

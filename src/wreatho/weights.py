@@ -217,37 +217,16 @@ class CycF:
         return [self.rotation(1)]
 
 
-def hash_once(self) -> int:
-    """``__hash__`` for a frozen dataclass used as a cache key.
-
-    The value is the one the dataclass would generate, hash((field1,
-    field2, ...)), so set and dict orders do not change; it is computed on
-    first use and stored on the instance, since rehashing a tuple of
-    Fractions on every lookup dominates the block computations.  A class
-    opts in with ``__hash__ = hash_once`` in its body (the dataclass then
-    keeps generating only ``__eq__``).
-    """
-    try:
-        return self._hash
-    except AttributeError:
-        value = hash(tuple(getattr(self, name) for name in self.__match_args__))
-        object.__setattr__(self, "_hash", value)
-        return value
-
-
 @dataclass(frozen=True)
 class GroupDesc:
     """A product of SymF and CycF factors on disjoint position sets.
 
     Used both for Gamma itself and for every stabilizer that shows up.
-    Factors of order one are never stored.  The hash is computed once and
-    equals the generated value (see hash_once).
+    Factors of order one are never stored.
     """
 
     n: int
     factors: tuple
-
-    __hash__ = hash_once
 
     @property
     def order(self) -> int:
@@ -326,14 +305,10 @@ class GammaSpec:
     """The acting group, as typed blocks on consecutive coordinates.
 
     blocks: tuple of ("S", sizes) or ("C", m) or ("1", m).  Text format:
-    blocks separated by ";", each "S:a,b,c" / "C:m" / "1:m".  The hash is
-    computed once and equals the generated value, hash((blocks,)) (see
-    hash_once).
+    blocks separated by ";", each "S:a,b,c" / "C:m" / "1:m".
     """
 
     blocks: tuple
-
-    __hash__ = hash_once
 
     @property
     def n(self) -> int:
@@ -425,14 +400,24 @@ def _min_rotation(values: tuple) -> tuple:
     return min(values[r:] + values[:r] for r in range(len(values)))
 
 
+def _checked_rank(cells: tuple, lam: Weight) -> int:
+    """The rank of Gamma's cells; ValueError unless lam has it."""
+    n = cells[-1][1].stop if cells else 0
+    if len(lam) != n:
+        raise ValueError("rank mismatch")
+    return n
+
+
 def canonical_orbit_rep(gamma: GammaSpec, lam: Weight) -> Weight:
     """Lexicographically minimal element of the Gamma-orbit of lam.
 
     Coordinates need only be hashable and totally ordered, so integer tuples
     (such as the marked weights of skew_o) work as well as Fractions.
     """
+    cells = gamma_cells(gamma)
+    _checked_rank(cells, lam)
     out = list(lam)
-    for kind, span in gamma_cells(gamma):
+    for kind, span in cells:
         cell = slice(span.start, span.stop)
         if kind == "S":
             out[cell] = sorted(out[cell])
@@ -443,6 +428,7 @@ def canonical_orbit_rep(gamma: GammaSpec, lam: Weight) -> Weight:
 
 def orbit_of(gamma: GammaSpec, lam: Weight) -> list[Weight]:
     """The Gamma-orbit, sorted lexicographically."""
+    _checked_rank(gamma_cells(gamma), lam)
     orbit = {lam}
     frontier = [lam]
     gens = gamma.group().generators()
@@ -465,10 +451,10 @@ def stabilizer(gamma: GammaSpec, lam: Weight) -> GroupDesc:
     cyclic blocks contribute the rotation subgroup fixing the value necklace.
     Coordinates need only be hashable and totally ordered.
     """
-    if len(lam) != gamma.n:
-        raise ValueError("rank mismatch")
+    cells = gamma_cells(gamma)
+    n = _checked_rank(cells, lam)
     factors = []
-    for kind, span in gamma_cells(gamma):
+    for kind, span in cells:
         if kind == "S":
             by_value: dict = {}
             for i in span:
@@ -478,7 +464,7 @@ def stabilizer(gamma: GammaSpec, lam: Weight) -> GroupDesc:
             d = _necklace_symmetry_order(tuple(lam[span.start : span.stop]))
             if d >= 2:
                 factors.append(CycF(tuple(span), d))
-    return group_desc(gamma.n, factors)
+    return group_desc(n, factors)
 
 
 def _necklace_symmetry_order(values: tuple) -> int:

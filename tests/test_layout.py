@@ -10,6 +10,10 @@ public name with no caller fails here until it is used, deleted or listed.
 poly.exact alone decides how an exact scalar is stored, so every
 Fraction(...) call in src/wreatho outside selftest.py is listed in
 FRACTION_CALLS with the reason it is not a conversion.
+
+Every memo in src/wreatho is a functools.lru_cache, and each is listed in
+CACHES with the reason it stays, so a new memo, or one left behind after
+its reader moved, fails here until it is listed or removed.
 """
 
 import ast
@@ -186,3 +190,60 @@ def test_scan_sees_a_new_fraction_call(tmp_path):
     with open(tmp_path / "pbw.py", "a") as fh:
         fh.write("\n\ndef _as_fraction(x):\n    return Fraction(x)\n")
     assert _fraction_calls(tmp_path) == sorted([*FRACTION_CALLS, "pbw._as_fraction"])
+
+
+_ONE_PER_SPEC = "one value per GammaSpec, read on every orbit and stabilizer call"
+CACHES = {
+    "skew_o._orbit_block": "the one block per (Gamma, orbit rep) that "
+    "block_matrices, s3_component and s_prime_component read",
+    "symchars.restricted_inner_product": "each Verma multiplicity; the flip "
+    "layers of a block meet the same stabilizer pairs again",
+    "symchars.char_value": "character table entries, summed over classes by "
+    "restricted_inner_product; perfbench/tracing.py reads its cache_info",
+    "symchars.partitions_of": "the irreps of a symmetric factor, listed for "
+    "every stabilizer",
+    "weights.GammaSpec.group": _ONE_PER_SPEC,
+    "weights.gamma_cells": _ONE_PER_SPEC,
+    "weights._kostant_count": "the recursion memo of kostant_p, shared by "
+    "every theta over the same roots",
+    "weights._separating_functional": "one functional per root tuple, read at "
+    "every step of _kostant_count",
+    "pbw._mul_rank1": "the rank-1 product, met again for every pair of "
+    "factors of Element.__mul__; perfbench/tracing.py reads its cache_info",
+    "pbw._antipode_rank1": "the rank-1 antipode, read per monomial by "
+    "m_one_S_delta",
+}
+_MEMO_DECORATORS = {"lru_cache", "cache", "cached_property"}
+
+
+def _memoized(src=SRC) -> list:
+    """module.qualname of each function in src decorated by a memo."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in child.decorator_list:
+                    func = deco.func if isinstance(deco, ast.Call) else deco
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in _MEMO_DECORATORS:
+                        out.append(".".join(scope + [child.name]))
+                visit(child, scope + [child.name])
+
+    for p in sorted(src.glob("*.py")):
+        visit(ast.parse(p.read_text()), [p.stem])
+    return sorted(out)
+
+
+def test_every_cache_is_listed_once():
+    assert _memoized() == sorted(CACHES)
+
+
+def test_scan_sees_a_new_cache(tmp_path):
+    for p in SRC.glob("*.py"):
+        (tmp_path / p.name).write_text(p.read_text())
+    with open(tmp_path / "skew_o.py", "a") as fh:
+        fh.write("\n\n@functools.lru_cache(maxsize=None)\ndef _memo(x):\n    return x\n")
+    assert _memoized(tmp_path) == sorted([*CACHES, "skew_o._memo"])

@@ -504,6 +504,19 @@ class TestCenterBasis:
         assert in_row_space(vecs, one)
         assert in_row_space(vecs, omsum)
 
+    def test_center_elements_live_in_the_rank_algebra(self):
+        # gamma only checks the rank, so the center mixes with Algebra(2)
+        gamma = parse_gamma("S:2")
+        plain = Algebra(2)
+        assert Algebra(2, gamma) == plain and hash(Algebra(2, gamma)) == hash(plain)
+        for z in center_basis_up_to_degree(2, 2, gamma):
+            for i in range(2):
+                assert commutator(z, plain.e(i)).is_zero()
+                assert commutator(z, plain.f(i)).is_zero()
+            assert z == Element(plain, dict(z.terms))
+        with pytest.raises(ValueError):
+            Algebra(3, gamma)
+
     def test_tensor_center(self):
         basis = center_basis_up_to_degree(2, 2, parse_gamma("1:2"))
         assert len(basis) == 3

@@ -572,7 +572,6 @@ class TestSharedBlock:
             return verma_decompose_skew(gamma, x)
 
         so._orbit_block.cache_clear()
-        so._verma_decompose_terms.cache_clear()
         monkeypatch.setattr(so, "verma_decompose_skew", counting)
         gamma = parse_gamma("S:2,2,2,2")
         x = classify_X_over(gamma, parse_weight("0,0,1,1,2,2,3,3"))[0]
@@ -808,7 +807,6 @@ class TestConcurrency:
         import wreatho.symchars as sc
 
         so._orbit_block.cache_clear()
-        so._verma_decompose_terms.cache_clear()
         sc.restricted_inner_product.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(

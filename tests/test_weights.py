@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gamma_strategies import CHAR_COORD, gamma_specs, pooled_weights
 from oracles import kostant_enumeration
 from wreatho.cato_a import CharacterVB
+from wreatho.clifford import classify_X_over, weight_mult
 from wreatho.weights import (
     CycF,
     _kostant_count,
@@ -121,6 +122,30 @@ class TestOrbits:
         gamma = parse_gamma("S:2;C:3")
         lam = w(2, -1, 5, 0, 5)
         assert canonical_orbit_rep(gamma, lam) == orbit_of(gamma, lam)[0]
+
+
+@st.composite
+def _wrong_rank_cases(draw):
+    """A spec and a weight of rank n - 1 or n + 1."""
+    gamma = draw(gamma_specs())
+    rank = gamma.n + draw(st.sampled_from([-1, 1]))
+    return gamma, tuple(draw(CHAR_COORD) for _ in range(rank))
+
+
+class TestRankMismatch:
+    @settings(max_examples=100)
+    @given(_wrong_rank_cases())
+    def test_orbit_functions_refuse_a_wrong_rank(self, case):
+        gamma, lam = case
+        for fn in (canonical_orbit_rep, orbit_of, stabilizer):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                fn(gamma, lam)
+
+    def test_weight_mult_refuses_a_wrong_rank(self):
+        gamma = parse_gamma("S:2")
+        x = classify_X_over(gamma, w(0, 0))[0]
+        with pytest.raises(ValueError, match="rank mismatch"):
+            weight_mult(gamma, x, w(1))
 
 
 @st.composite
