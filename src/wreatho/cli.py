@@ -22,7 +22,13 @@ from .skew_o import (
     simples_over_four_setups,
     weight_dims_skew,
 )
-from .weights import format_weight, parse_gamma, parse_rational, parse_weight
+from .weights import (
+    format_weight,
+    parse_gamma,
+    parse_rational,
+    parse_weight,
+    split_by_blocks,
+)
 
 
 def _fail(message: str, **extra):
@@ -131,9 +137,9 @@ def simples(gamma_text, weight_text, fmt):
         "weight": format_weight(weight),
         "simples": simples_out,
     }
-    if len(gamma.blocks) > 1:
-        spans = gamma.block_spans()
-        lams = [weight[lo:hi] for lo, hi in spans]
+    pieces = split_by_blocks(gamma)
+    if len(pieces) > 1:
+        lams = [weight[span.start : span.stop] for _, span in pieces]
         _, per_block, _, product = simples_over_four_setups(gamma, lams)
         payload["four_setups"] = {
             "per_block_weights": [format_weight(l) for l in lams],

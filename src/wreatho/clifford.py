@@ -8,7 +8,7 @@ so no module is ever materialized.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from . import symchars
@@ -154,33 +154,20 @@ def decompose_induced(
 # products across blocks
 
 
-def concat_weights(lams: list[Weight]) -> Weight:
-    return tuple(itertools.chain.from_iterable(lams))
-
-
-def concat_gammas(gammas: list[GammaSpec]) -> GammaSpec:
-    blocks = []
-    for g in gammas:
-        blocks.extend(g.blocks)
-    return GammaSpec(tuple(blocks))
-
-
-def concat_simplex(gammas: list[GammaSpec], xs: list[SimpleX]) -> SimpleX:
-    """The product simple over the concatenated spec ("X = prod X_j")."""
-    big = concat_gammas(gammas)
+def concat_simplex(xs: Iterable[SimpleX]) -> SimpleX:
+    """The product simple over the concatenated spec ("X = prod X_j"): the
+    orbit reps, stabilizer factors and irrep labels side by side, each
+    simple's factors shifted past the coordinates of those before it."""
     rep = []
     factors = []
     labels = []
-    offset = 0
-    for g, x in zip(gammas, xs):
+    for x in xs:
+        offset = len(rep)
         rep.extend(x.orbit_rep)
-        for f, label in zip(x.stab.factors, x.irrep):
+        for f in x.stab.factors:
             factors.append(replace(f, positions=tuple(p + offset for p in f.positions)))
-            labels.append(label)
-        offset += g.n
-    stab = group_desc(big.n, factors)
-    order = sorted(range(len(factors)), key=lambda i: factors[i].positions[0])
-    return SimpleX(tuple(rep), stab, tuple(labels[i] for i in order))
+        labels.extend(x.irrep)
+    return SimpleX(tuple(rep), group_desc(len(rep), factors), tuple(labels))
 
 
 def simplex_to_json(gamma: GammaSpec, x: SimpleX) -> dict:

@@ -798,6 +798,10 @@ class ExprParser:
             lo, hi = (
                 self._factor(f"cycle {val}", int(x)) for x in val[4:-1].split("..")
             )
+            if lo > hi:
+                raise ValueError(
+                    f"cycle {val} runs backwards (expected cyc(a..b), a <= b)"
+                )
             perm = list(range(self.alg.n))
             for k in range(lo, hi):
                 perm[k] = k + 1

@@ -43,7 +43,6 @@ from .clifford import (
     SimpleX,
     classify_X_over,
     concat_simplex,
-    concat_weights,
     dim_m,
     duality_F,
     orbit_size,
@@ -59,10 +58,11 @@ from .weights import (
     canonical_orbit_rep,
     flip_subset,
     format_weight,
-    gamma_cells,
     integral_flip_positions,
     leq,
     orbit_of,
+    split_by_blocks,
+    split_by_cells,
     stabilizer,
 )
 
@@ -305,7 +305,7 @@ class _OrbitBlock:
 @lru_cache(maxsize=None)
 def _orbit_block(gamma: GammaSpec, rep: Weight) -> _OrbitBlock:
     """The block over the orbit of the canonical rep, with its checks."""
-    cells = gamma_cells(gamma)
+    cells = split_by_cells(gamma)
     if len(cells) == 1:
         order = sorted(_saturated_simples(gamma, rep, 3), key=_block_sort_key)
         index = {y: i for i, y in enumerate(order)}
@@ -345,20 +345,11 @@ def _orbit_block(gamma: GammaSpec, rep: Weight) -> _OrbitBlock:
 
 
 def _product_block(cells, rep: Weight):
-    """(order, sparse D rows) over several cells: the Kronecker product of
-    the cell blocks, relabeled by concat_simplex and sorted highest first."""
-    gammas = [
-        GammaSpec((("S", (len(span),)) if kind == "S" else (kind, len(span)),))
-        for kind, span in cells
-    ]
-    parts = [
-        _orbit_block(g, rep[span.start : span.stop])
-        for g, (_, span) in zip(gammas, cells)
-    ]
-    xs = [
-        concat_simplex(gammas, list(combo))
-        for combo in itertools.product(*(part.order for part in parts))
-    ]
+    """(order, sparse D rows) over several cells, given as split_by_cells
+    gives them: the Kronecker product of the cell blocks, relabeled by
+    concat_simplex and sorted highest first."""
+    parts = [_orbit_block(g, rep[span.start : span.stop]) for g, span in cells]
+    xs = list(map(concat_simplex, itertools.product(*(part.order for part in parts))))
     kron = reduce(_kron, (part.rows for part in parts))
     ranked = sorted(range(len(xs)), key=lambda t: _block_sort_key(xs[t]))
     position = [0] * len(ranked)
@@ -511,14 +502,6 @@ def dim_simple_skew(gamma: GammaSpec, x: SimpleX):
 # products of blocks
 
 
-def split_by_blocks(gamma: GammaSpec):
-    """One single-block GammaSpec per block, with its coordinate span."""
-    out = []
-    for (kind, data), span in zip(gamma.blocks, gamma.block_spans()):
-        out.append((GammaSpec(((kind, data),)), span))
-    return out
-
-
 def simples_over_four_setups(gamma: GammaSpec, lams: list[Weight]):
     """The four answers over per-block weights: the weights themselves, the
     per-block simple lists, the concatenated weight, and the product simple
@@ -526,19 +509,12 @@ def simples_over_four_setups(gamma: GammaSpec, lams: list[Weight]):
     blocks = split_by_blocks(gamma)
     if len(lams) != len(blocks):
         raise ValueError("one weight per block required")
-    per_block_gammas = []
-    per_block_simples = []
-    for (g, span), lam in zip(blocks, lams):
-        if len(lam) != span[1] - span[0]:
-            raise ValueError("weight width does not match block")
-        per_block_gammas.append(g)
-        per_block_simples.append(classify_X_over(g, lam))
-    big_weight = concat_weights(lams)
-    product_list = [
-        concat_simplex(per_block_gammas, list(combo))
-        for combo in itertools.product(*per_block_simples)
-    ]
-    product_list.sort(key=SimpleX.sort_key)
+    per_block_simples = [classify_X_over(g, lam) for (g, _), lam in zip(blocks, lams)]
+    big_weight = tuple(itertools.chain.from_iterable(lams))
+    product_list = sorted(
+        map(concat_simplex, itertools.product(*per_block_simples)),
+        key=SimpleX.sort_key,
+    )
     direct = classify_X_over(gamma, big_weight)
     if product_list != direct:
         raise InternalConsistencyError("X product law failed")
@@ -562,8 +538,7 @@ def s3_product_cover(gamma: GammaSpec, xs: list[SimpleX]) -> CoverReport:
     Requires the hypothesis F(S'_j(x_j)) = S'_j(F(x_j)) per block; when it
     fails the report says so instead of reporting an equality failure.
     """
-    blocks = split_by_blocks(gamma)
-    gammas = [g for g, _ in blocks]
+    gammas = [g for g, _ in split_by_blocks(gamma)]
     if len(xs) != len(gammas):
         raise ValueError("one simple per block required")
     for g, xj in zip(gammas, xs):
@@ -577,21 +552,15 @@ def s3_product_cover(gamma: GammaSpec, xs: list[SimpleX]) -> CoverReport:
                 hypothesis = False
     per_block_s3 = [s3_component(g, xj) for g, xj in zip(gammas, xs)]
     product_set = sorted(
-        (
-            concat_simplex(gammas, list(combo))
-            for combo in itertools.product(*per_block_s3)
-        ),
-        key=SimpleX.sort_key,
+        map(concat_simplex, itertools.product(*per_block_s3)), key=SimpleX.sort_key
     )
-    big_x = concat_simplex(gammas, xs)
+    big_x = concat_simplex(xs)
     cover = {}
     union: set[SimpleX] = set()
     for eps in itertools.product((0, 1), repeat=len(gammas)):
         if eps and eps[0] == 1:
             continue  # quotient by the diagonal flip
-        twisted = concat_simplex(
-            gammas, [duality_F(xj) if e else xj for e, xj in zip(eps, xs)]
-        )
+        twisted = concat_simplex(duality_F(xj) if e else xj for e, xj in zip(eps, xs))
         comp = s3_component(gamma, twisted)
         cover[eps] = comp
         union.update(comp)
@@ -600,10 +569,7 @@ def s3_product_cover(gamma: GammaSpec, xs: list[SimpleX]) -> CoverReport:
     per_block_sprime = [
         s_prime_component(g, xj) for g, xj in zip(gammas, xs)
     ]
-    prod_sprime = {
-        concat_simplex(gammas, list(combo))
-        for combo in itertools.product(*per_block_sprime)
-    }
+    prod_sprime = set(map(concat_simplex, itertools.product(*per_block_sprime)))
     s3_big = set(s3_component(gamma, big_x))
     chain_ok = (
         s_prime_big <= prod_sprime

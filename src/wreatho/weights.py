@@ -16,10 +16,13 @@ same class: products of symmetric groups on position sets and rotation
 subgroups of cyclic blocks.  That closure property is what GroupDesc below
 encodes.
 
-gamma_cells walks Gamma's layout once: one cell per Young factor, cyclic
-block and trivial block.  The group, canonical orbit representatives and
-stabilizers are all read off those cells, and other modules use the cells
-instead of walking the blocks themselves.
+Which coordinates each block and cell of Gamma covers is worked out in one
+place, _layout, and no other module reads GammaSpec.blocks.  gamma_cells
+lists the cells: one per Young factor, cyclic block and trivial block.
+The rank, the group, canonical orbit representatives and stabilizers are
+all read off those cells.  Other modules cut Gamma through split_by_blocks
+and split_by_cells, which give one single-block or single-cell spec per
+piece, with its span.
 """
 
 from __future__ import annotations
@@ -312,10 +315,8 @@ class GammaSpec:
 
     @property
     def n(self) -> int:
-        total = 0
-        for kind, data in self.blocks:
-            total += sum(data) if kind == "S" else data
-        return total
+        """The rank: the coordinates Gamma's cells cover."""
+        return _rank(gamma_cells(self))
 
     @lru_cache(maxsize=None)
     def group(self) -> GroupDesc:
@@ -329,16 +330,6 @@ class GammaSpec:
             ),
         )
 
-    def block_spans(self) -> list[tuple[int, int]]:
-        """Half-open coordinate spans, one per block."""
-        spans = []
-        pos = 0
-        for kind, data in self.blocks:
-            width = sum(data) if kind == "S" else data
-            spans.append((pos, pos + width))
-            pos += width
-        return spans
-
     def __str__(self) -> str:
         parts = []
         for kind, data in self.blocks:
@@ -347,6 +338,13 @@ class GammaSpec:
             else:
                 parts.append(f"{kind}:{data}")
         return ";".join(parts)
+
+
+_BLOCK_FORMS = {
+    "S": ("Young sizes", "S:m1,m2,... with positive integers m1, m2, ..."),
+    "C": ("block width", "C:m with m a positive integer"),
+    "1": ("block width", "1:m with m a positive integer"),
+}
 
 
 def parse_gamma(text: str) -> GammaSpec:
@@ -360,19 +358,35 @@ def parse_gamma(text: str) -> GammaSpec:
             raise ValueError(f"malformed block {raw!r} (expected KIND:ARGS)")
         kind, args = raw.split(":", 1)
         kind = kind.strip()
-        if kind == "S":
-            sizes = tuple(int(a) for a in args.split(","))
-            if not sizes or any(s < 1 for s in sizes):
-                raise ValueError(f"bad Young sizes in {raw!r}")
-            blocks.append(("S", sizes))
-        elif kind in ("C", "1"):
-            m = int(args)
-            if m < 1:
-                raise ValueError(f"bad block width in {raw!r}")
-            blocks.append((kind, m))
-        else:
+        if kind not in _BLOCK_FORMS:
             raise ValueError(f"unknown block kind {kind!r} in {raw!r}")
+        parts = args.split(",") if kind == "S" else [args]
+        try:
+            values = tuple(int(a) for a in parts)
+            valid = all(v >= 1 for v in values)
+        except ValueError:
+            valid = False
+        if not valid:
+            what, form = _BLOCK_FORMS[kind]
+            raise ValueError(f"bad {what} in {raw!r} (expected {form})")
+        blocks.append((kind, values if kind == "S" else values[0]))
     return GammaSpec(tuple(blocks))
+
+
+def _layout(gamma: GammaSpec):
+    """Walk gamma.blocks once, in coordinate order.  Yields, per block,
+    (piece, span, cells): piece is the block's (kind, data) pair and span
+    the range of its coordinates; cells lists its cells the same way, as
+    (piece, span) with piece the pair of a spec made of that cell alone."""
+    pos = 0
+    for kind, data in gamma.blocks:
+        start = pos
+        cells = []
+        for width in data if kind == "S" else (data,):
+            piece = ("S", (width,)) if kind == "S" else (kind, width)
+            cells.append((piece, range(pos, pos + width)))
+            pos += width
+        yield (kind, data), range(start, pos), cells
 
 
 @lru_cache(maxsize=None)
@@ -383,13 +397,25 @@ def gamma_cells(gamma: GammaSpec) -> tuple:
     ("1", span) for each trivial block.  Gamma is the product of the full
     symmetric groups on the S cells and the rotation groups of the C cells.
     """
-    cells = []
-    pos = 0
-    for kind, data in gamma.blocks:
-        for width in data if kind == "S" else (data,):
-            cells.append((kind, range(pos, pos + width)))
-            pos += width
-    return tuple(cells)
+    return tuple(
+        (kind, span)
+        for _, _, cells in _layout(gamma)
+        for (kind, _), span in cells
+    )
+
+
+def split_by_blocks(gamma: GammaSpec) -> list:
+    """One single-block GammaSpec per block of gamma, with its span."""
+    return [(GammaSpec((piece,)), span) for piece, span, _ in _layout(gamma)]
+
+
+def split_by_cells(gamma: GammaSpec) -> list:
+    """One single-cell GammaSpec per cell of gamma, with its span."""
+    return [
+        (GammaSpec((piece,)), span)
+        for _, _, cells in _layout(gamma)
+        for piece, span in cells
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +426,13 @@ def _min_rotation(values: tuple) -> tuple:
     return min(values[r:] + values[:r] for r in range(len(values)))
 
 
+def _rank(cells: tuple) -> int:
+    return cells[-1][1].stop if cells else 0
+
+
 def _checked_rank(cells: tuple, lam: Weight) -> int:
     """The rank of Gamma's cells; ValueError unless lam has it."""
-    n = cells[-1][1].stop if cells else 0
+    n = _rank(cells)
     if len(lam) != n:
         raise ValueError("rank mismatch")
     return n

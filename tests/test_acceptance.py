@@ -21,7 +21,6 @@ from oracles import (
 from wreatho.cato_a import CharacterVB, s_sets_A, verma_factors_sl2
 from wreatho.clifford import (
     classify_X_over,
-    concat_gammas,
     concat_simplex,
     dim_m,
     duality_F,
@@ -251,8 +250,8 @@ def test_criterion_04_character_identities(random_blocks):
             specs.append(_random_gamma(rng2, n))
             lams.append(_random_weight(rng2, n))
         xs = [classify_X_over(g, l)[0] for g, l in zip(specs, lams)]
-        big_gamma = concat_gammas(specs)
-        big_x = concat_simplex(specs, xs)
+        big_gamma = parse_gamma(";".join(map(str, specs)))
+        big_x = concat_simplex(xs)
         product_ch = None
         for g, xj in zip(specs, xs):
             chj = ch_simple_skew(g, xj)
@@ -312,7 +311,7 @@ def test_criterion_06_functoriality():
             n = rng2.randint(1, 3)
             specs.append(_random_gamma(rng2, n))
             lams.append(_random_weight(rng2, n))
-        gamma = concat_gammas(specs)
+        gamma = parse_gamma(";".join(map(str, specs)))
         _, per_block, _, product = simples_over_four_setups(gamma, lams)
         size = 1
         for p in per_block:
@@ -350,7 +349,7 @@ def test_criterion_07_s3_s4_and_cover():
     nonzero_eps_seen = 0
     for spec_texts, lams, cyclic_case in cover_cases:
         specs = [parse_gamma(s) for s in spec_texts]
-        gamma = concat_gammas(specs)
+        gamma = parse_gamma(";".join(map(str, specs)))
         xs = []
         for g, lam in zip(specs, lams):
             options = classify_X_over(g, lam)

@@ -59,6 +59,44 @@ class TestSimples:
         assert r.exit_code == 1
         assert "rank" in json.loads(r.stderr)["error"]
 
+    @pytest.mark.parametrize(
+        "spec, weight, four_setups",
+        [
+            (
+                "S:2;C:3;1:1",
+                "0,0,1/2,1/2,1/2,3",
+                {
+                    "per_block_weights": ["0,0", "1/2,1/2,1/2", "3"],
+                    "per_block_counts": [2, 3, 1],
+                    "product_count": 6,
+                },
+            ),
+            # one Young block of two cells beside a second block
+            (
+                "S:2,1;S:1",
+                "1,1,0,2",
+                {
+                    "per_block_weights": ["1,1,0", "2"],
+                    "per_block_counts": [2, 1],
+                    "product_count": 2,
+                },
+            ),
+            ("S:2,1", "1,1,0", None),
+        ],
+    )
+    def test_four_setups_per_block(self, spec, weight, four_setups):
+        r = run("simples", "--gamma", spec, "--weight", weight, "--format", "json")
+        assert r.exit_code == 0
+        assert json.loads(r.output).get("four_setups") == four_setups
+        r = run("simples", "--gamma", spec, "--weight", weight)
+        assert r.exit_code == 0
+        last = r.output.splitlines()[-1]
+        if four_setups is None:
+            assert not last.startswith("blocks:")
+        else:
+            counts = four_setups["per_block_counts"]
+            assert last == f"blocks: {counts} -> product {four_setups['product_count']}"
+
 
 class TestBlock:
     def test_json_five_simples(self):
@@ -403,6 +441,13 @@ class TestPbw:
             assert r.exit_code == 1
             assert json.loads(r.stderr)["error"] == message
 
+    def test_reversed_cycle_named_as_typed(self):
+        r = run("pbw", "--n", "2", "--expr", "cyc(2..1)")
+        assert r.exit_code == 1
+        assert json.loads(r.stderr)["error"] == (
+            "cycle cyc(2..1) runs backwards (expected cyc(a..b), a <= b)"
+        )
+
     @pytest.mark.parametrize(
         "expr, printed",
         [
@@ -453,6 +498,19 @@ class TestAppendix:
 _S2 = ("--gamma", "S:2", "--weight")
 
 
+# a bad --gamma block is named with the form expected of it
+_BAD_GAMMA_MESSAGES = {
+    ("simples", "--gamma", "S:2,", "--weight", "0,0"):
+        "bad Young sizes in 'S:2,' (expected S:m1,m2,...",
+    ("simples", "--gamma", "S:a", "--weight", "0"):
+        "bad Young sizes in 'S:a' (expected S:m1,m2,...",
+    ("block", "--gamma", "C:x", "--weight", "0"):
+        "bad block width in 'C:x' (expected C:m with m a positive integer)",
+    ("char", "--module", "V", "--gamma", "1:", "--weight", "0"):
+        "bad block width in '1:' (expected 1:m with m a positive integer)",
+}
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "args",
@@ -480,6 +538,7 @@ class TestBadInput:
             ("pbw", "--n", "x", "--expr", "e1"),
             ("appendix", "--n", "2", "--wdeg", "x"),
             ("selftest", "--seed", "x"),
+            *_BAD_GAMMA_MESSAGES,
         ],
     )
     def test_json_error_and_exit_1(self, args):
@@ -489,7 +548,8 @@ class TestBadInput:
         # not a SystemExit
         assert type(r.exception) is SystemExit
         assert "Traceback" not in r.output
-        assert "error" in json.loads(r.stderr)
+        error = json.loads(r.stderr)["error"]
+        assert _BAD_GAMMA_MESSAGES.get(args, "") in error
 
 
 class TestSelftest:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gamma_strategies import gamma_specs, pooled_weights
@@ -21,7 +21,13 @@ from wreatho.clifford import (
     weight_mult,
 )
 from wreatho.symchars import irrep_dim
-from wreatho.weights import GroupDesc, orbit_of, parse_gamma
+from wreatho.weights import (
+    GroupDesc,
+    orbit_of,
+    parse_gamma,
+    split_by_blocks,
+    split_by_cells,
+)
 
 
 def w(*coords):
@@ -150,28 +156,54 @@ class TestDecomposeInduced:
             decompose_induced(gamma, lam, s2, ((2,),))
 
 
+@st.composite
+def _spec_and_weight(draw):
+    gamma = draw(gamma_specs())
+    return gamma, draw(pooled_weights(gamma))
+
+
+def _seeded_products():
+    """20 lists of (spec, weight): 2 or 3 of S:n, C:n or 1:n, n <= 3, with
+    coordinates in -2..2, drawn from a fixed seed."""
+    rng = random.Random(14)
+    cases = []
+    for _ in range(20):
+        parts = []
+        for _ in range(rng.randint(2, 3)):
+            n = rng.randint(1, 3)
+            gamma = parse_gamma(f"{rng.choice(['S', 'C', '1'])}:{n}")
+            parts.append((gamma, tuple(F(rng.randint(-2, 2)) for _ in range(n))))
+        cases.append(parts)
+    return cases
+
+
+def _with_examples(cases):
+    """hypothesis.example once per case."""
+
+    def apply(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+
+    return apply
+
+
 class TestProducts:
-    def test_product_law_matches_direct(self):
-        rng = random.Random(14)
-        for _ in range(20):
-            specs = []
-            lams = []
-            for _ in range(rng.randint(2, 3)):
-                n = rng.randint(1, 3)
-                kind = rng.choice(["S", "C", "1"])
-                specs.append(parse_gamma(f"{kind}:{n}"))
-                lams.append(tuple(F(rng.randint(-2, 2)) for _ in range(n)))
-            per_block = [classify_X_over(g, lam) for g, lam in zip(specs, lams)]
-            product = sorted(
-                (
-                    concat_simplex(specs, list(combo))
-                    for combo in itertools.product(*per_block)
-                ),
-                key=SimpleX.sort_key,
-            )
-            big_gamma = parse_gamma(";".join(str(g) for g in specs))
-            big_lam = tuple(itertools.chain.from_iterable(lams))
-            assert product == classify_X_over(big_gamma, big_lam)
+    @settings(max_examples=80)
+    @given(st.lists(_spec_and_weight(), min_size=1, max_size=3))
+    @_with_examples(_seeded_products())
+    def test_product_law_matches_direct(self, parts):
+        per_spec = [classify_X_over(g, lam) for g, lam in parts]
+        product = sorted(
+            map(concat_simplex, itertools.product(*per_spec)), key=SimpleX.sort_key
+        )
+        gamma = parse_gamma(";".join(str(g) for g, _ in parts))
+        lam = tuple(itertools.chain.from_iterable(lam for _, lam in parts))
+        assert product == classify_X_over(gamma, lam)
+        # the pieces Gamma is cut into tile its coordinates in order
+        for pieces in (split_by_blocks(gamma), split_by_cells(gamma)):
+            assert [i for _, span in pieces for i in span] == list(range(gamma.n))
+            assert all(len(span) == piece.n for piece, span in pieces)
 
 
 class TestJson:
@@ -228,12 +260,6 @@ class TestJson:
 def _generated_hash(obj):
     """The hash a frozen dataclass generates: of the tuple of its fields."""
     return hash(tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)))
-
-
-@st.composite
-def _spec_and_weight(draw):
-    gamma = draw(gamma_specs())
-    return gamma, draw(pooled_weights(gamma))
 
 
 class TestHashOfEqualObjects:

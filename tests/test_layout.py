@@ -14,6 +14,9 @@ FRACTION_CALLS with the reason it is not a conversion.
 Every memo in src/wreatho is a functools.lru_cache, and each is listed in
 CACHES with the reason it stays, so a new memo, or one left behind after
 its reader moved, fails here until it is listed or removed.
+
+Gamma's layout is cut in weights.py alone: no other module reads an
+attribute named blocks, so GammaSpec.blocks is walked in one place.
 """
 
 import ast
@@ -247,3 +250,28 @@ def test_scan_sees_a_new_cache(tmp_path):
     with open(tmp_path / "skew_o.py", "a") as fh:
         fh.write("\n\n@functools.lru_cache(maxsize=None)\ndef _memo(x):\n    return x\n")
     assert _memoized(tmp_path) == sorted([*CACHES, "skew_o._memo"])
+
+
+def _blocks_readers(src=SRC) -> list:
+    """Each module but weights.py that reads an attribute named blocks."""
+    return sorted(
+        p.stem
+        for p in src.glob("*.py")
+        if p.name != "weights.py"
+        and any(
+            isinstance(node, ast.Attribute) and node.attr == "blocks"
+            for node in ast.walk(ast.parse(p.read_text()))
+        )
+    )
+
+
+def test_only_weights_reads_gamma_blocks():
+    assert _blocks_readers() == []
+
+
+def test_scan_sees_a_new_blocks_read(tmp_path):
+    for p in SRC.glob("*.py"):
+        (tmp_path / p.name).write_text(p.read_text())
+    with open(tmp_path / "skew_o.py", "a") as fh:
+        fh.write("\n\ndef _width(gamma):\n    return len(gamma.blocks)\n")
+    assert _blocks_readers(tmp_path) == ["skew_o"]
