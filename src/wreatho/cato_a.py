@@ -23,6 +23,7 @@ from .weights import (
     is_dominant_integral,
     is_even_nonneg_int,
     leq,
+    weight_from_json,
 )
 
 
@@ -163,9 +164,13 @@ class CharacterVB:
         terms = {}
         rank = None
         for t in data["terms"]:
-            hw = tuple(coord(c) for c in t["hw"])
+            hw, coef = weight_from_json(t["hw"], "hw"), t["coef"]
+            if isinstance(coef, bool):
+                raise ValueError(f"coef must be an integer, not {coef!r}")
+            if hw in terms:
+                raise ValueError(f"two terms with hw {t['hw']!r}")
             rank = len(hw)
-            terms[hw] = t["coef"]
+            terms[hw] = coef
         if rank is None:
             raise ValueError("empty character needs an explicit rank")
         return CharacterVB(rank, terms)

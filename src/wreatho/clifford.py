@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
-from . import symchars
 from .symchars import (
     Irrep,
     check_irrep,
@@ -21,6 +20,7 @@ from .symchars import (
     irrep_sort_key,
     list_irreps,
     parse_irrep_labels,
+    restricted_inner_product,
 )
 from .weights import (
     GammaSpec,
@@ -28,13 +28,12 @@ from .weights import (
     InternalConsistencyError,
     SymF,
     Weight,
-    as_weight,
     canonical_orbit_rep,
     format_weight,
     gamma_cells,
     group_desc,
-    is_subgroup,
     stabilizer,
+    weight_from_json,
 )
 
 
@@ -130,21 +129,21 @@ def _factor_key(gamma: GammaSpec, weight: Weight, f) -> tuple:
 
 
 def decompose_induced(
-    gamma: GammaSpec, lam: Weight, from_stab: GroupDesc, carried: Irrep
+    gamma: GammaSpec, lam: Weight, sub: GroupDesc, group: GroupDesc, irrep: Irrep
 ) -> dict[SimpleX, int]:
-    """Decompose Ind_{from_stab}^{Stab(lam)}(carried) into simples over the
-    orbit of lam: {simple: multiplicity}, nonzero multiplicities only.
+    """Decompose Ind_sub^{Stab(lam)} Res_sub N, N the irrep `irrep` of
+    `group`, into simples over the orbit of lam: {simple: multiplicity},
+    nonzero multiplicities only.  sub must lie in both groups, else
+    ValueError.
 
     This is Clifford theory's statement that a simple over the orbit is
     named by an irrep of the stabilizer, with the multiplicities given by
     Frobenius reciprocity.
     """
     stab = stabilizer(gamma, lam)
-    if not is_subgroup(from_stab, stab):
-        raise ValueError("from_stab is not contained in the weight stabilizer")
     out = {}
     for irr in list_irreps(stab):
-        mult = symchars.induce_restrict_mult(from_stab, carried, stab, irr)
+        mult = restricted_inner_product(sub, group, irrep, stab, irr)
         if mult:
             out[transport_irrep(gamma, lam, stab, irr)] = mult
     return out
@@ -187,13 +186,11 @@ def simplex_from_json(gamma: GammaSpec, data: dict) -> SimpleX:
     rederived from it and the labels are checked against it.  Both fields
     must be lists (orbit_rep of coordinates, irrep of label strings), else
     ValueError."""
-    rep, labels = data["orbit_rep"], data["irrep"]
-    if not isinstance(rep, (list, tuple)):
-        raise ValueError(f"orbit_rep must be a list of coordinates, not {rep!r}")
+    rep, labels = weight_from_json(data["orbit_rep"], "orbit_rep"), data["irrep"]
     if not isinstance(labels, (list, tuple)) or not all(
         isinstance(text, str) for text in labels
     ):
         raise ValueError(f"irrep must be a list of label strings, not {labels!r}")
-    rep = canonical_orbit_rep(gamma, as_weight(rep))
+    rep = canonical_orbit_rep(gamma, rep)
     stab = stabilizer(gamma, rep)
     return SimpleX(rep, stab, parse_irrep_labels(stab, labels))

@@ -9,7 +9,8 @@ Ind_{stab_T}^{Gamma} (Res N), graded over the orbit of the flipped weight.
 The group permutes these monomial vectors with no character twist (they are
 plain monomials in commuting tensor factors), so the multiplicity of
 x' = (orbit of flip_T(lam), N') is the exact integer
-<Ind_{stab_T}^{Stab(flip_T(lam))} Res N, N'>.
+<Ind_{stab_T}^{Stab(flip_T(lam))} Res N, N'>: each layer is one
+clifford.decompose_induced.
 
 A block depends only on the weight orbit, so it is built once per
 (Gamma, canonical orbit rep) and every reader shares it: block_matrices
@@ -43,14 +44,13 @@ from .clifford import (
     SimpleX,
     classify_X_over,
     concat_simplex,
+    decompose_induced,
     dim_m,
     duality_F,
-    orbit_size,
     simplex_to_json,
-    transport_irrep,
     validate_simplex,
 )
-from .symchars import irrep_dim, list_irreps, restricted_inner_product
+from .symchars import irrep_dim
 from .weights import (
     GammaSpec,
     InternalConsistencyError,
@@ -142,19 +142,10 @@ def verma_decompose_skew(gamma: GammaSpec, x: SimpleX) -> dict[SimpleX, int]:
     out: dict[SimpleX, int] = {}
     for t_set, stab_t in _flip_layer_choices(gamma, lam):
         nu = flip_subset(lam, t_set)
-        stab_nu = stabilizer(gamma, nu)
-        for n_prime in list_irreps(stab_nu):
-            mult = restricted_inner_product(
-                stab_t, x.stab, x.irrep, stab_nu, n_prime
-            )
-            if mult:
-                y = transport_irrep(gamma, nu, stab_nu, n_prime)
-                out[y] = out.get(y, 0) + mult
+        for y, mult in decompose_induced(gamma, nu, stab_t, x.stab, x.irrep).items():
+            out[y] = out.get(y, 0) + mult
     expected = dim_m(gamma, x) * length_Z_A(lam)
-    actual = sum(
-        m * orbit_size(gamma, y) * irrep_dim(y.stab, y.irrep)
-        for y, m in out.items()
-    )
+    actual = sum(m * dim_m(gamma, y) for y, m in out.items())
     if actual != expected:
         raise InternalConsistencyError(
             f"restricted length {actual} != {expected} for {x}"
@@ -235,8 +226,9 @@ class BlockData:
             for j in range(len(self.order)):
                 if i != j and self.D[i][j]:
                     lines.append(f"  n{i} -> n{j};")
+        index = {x: i for i, x in enumerate(self.order)}
         for j, x in enumerate(self.order):
-            i = self.order.index(duality_F(x))
+            i = index[duality_F(x)]
             if i < j:
                 lines.append(f"  n{i} -> n{j} [style=dashed, dir=none];")
         lines.append("}")

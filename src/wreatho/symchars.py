@@ -26,8 +26,6 @@ from .weights import (
     GroupDesc,
     InternalConsistencyError,
     SymF,
-    _parent_factor,
-    is_subgroup,
 )
 
 Partition = tuple  # weakly decreasing tuple of positive ints; () allowed
@@ -305,18 +303,18 @@ def restricted_inner_product(
 
     By Frobenius reciprocity this is also <Ind_sub^{g2} Res_sub irrep1,
     irrep2>.  The sum runs over sub's own factors, each matched to its
-    parent factor in g1 and g2: a cyclic factor contributes a residue-match
-    0/1 multiplier, and the symmetric factors an exact integer class sum
-    over their product, divided by its order.  Positions sub does not move
-    are fixed points, which `_product_char_value` pads in.  Memoized: a
-    block computation asks for the same few products many times.
+    parent factor in g1 and g2 (ValueError when one has none): a cyclic
+    factor contributes a residue-match 0/1 multiplier, and the symmetric
+    factors an exact integer class sum over their product, divided by its
+    order.  Positions sub does not move are fixed points, which
+    `_product_char_value` pads in.  Memoized: a block computation asks for
+    the same few products many times.
     """
-    if not (is_subgroup(sub, g1) and is_subgroup(sub, g2)):
+    parents = [(f, _parent_factor(f, g1), _parent_factor(f, g2)) for f in sub.factors]
+    if any(i1 is None or i2 is None for _, i1, i2 in parents):
         raise ValueError("sub must be a structural subgroup of both groups")
     sizes, owners1, owners2 = [], [], []
-    for f in sub.factors:
-        i1 = g1.factors.index(_parent_factor(f, g1))
-        i2 = g2.factors.index(_parent_factor(f, g2))
+    for f, i1, i2 in parents:
         if isinstance(f, CycF):
             if (irrep1[i1] - irrep2[i2]) % f.order:
                 return 0
@@ -340,6 +338,26 @@ def restricted_inner_product(
     return total // order
 
 
+def _parent_factor(f, sup: GroupDesc):
+    """The index of the sup-factor containing f, or None.
+
+    SymF fits in a SymF with a superset of positions; CycF fits in a CycF on
+    the identical block with order divisible by its own.
+    """
+    pos = set(f.positions)
+    for i, g in enumerate(sup.factors):
+        if isinstance(f, SymF) and isinstance(g, SymF) and pos <= set(g.positions):
+            return i
+        if (
+            isinstance(f, CycF)
+            and isinstance(g, CycF)
+            and f.positions == g.positions
+            and g.order % f.order == 0
+        ):
+            return i
+    return None
+
+
 def _product_char_value(g: GroupDesc, irrep: Irrep, owners, combo) -> int:
     """chi_{irrep restricted}(class) for the symmetric part of g.
 
@@ -358,12 +376,3 @@ def _product_char_value(g: GroupDesc, irrep: Irrep, owners, combo) -> int:
             parts += [1] * (len(f.positions) - sum(parts))
             value *= char_value(label, tuple(parts))
     return value
-
-
-def induce_restrict_mult(
-    sub: GroupDesc, sub_irrep: Irrep, sup: GroupDesc, sup_irrep: Irrep
-) -> int:
-    """<Ind_sub^sup sub_irrep, sup_irrep>, by Frobenius reciprocity."""
-    if not is_subgroup(sub, sup):
-        raise ValueError(f"{sub} is not a structural subgroup of {sup}")
-    return restricted_inner_product(sub, sub, sub_irrep, sup, sup_irrep)

@@ -95,6 +95,14 @@ def as_weight(coords: Iterable) -> Weight:
     return lam
 
 
+def weight_from_json(coords, field: str) -> Weight:
+    """as_weight of a JSON list of coordinates; ValueError when coords is
+    not a list or holds a boolean, which Python would read as 0 or 1."""
+    if not isinstance(coords, (list, tuple)) or any(isinstance(c, bool) for c in coords):
+        raise ValueError(f"{field} must be a list of coordinates, not {coords!r}")
+    return as_weight(coords)
+
+
 def check_same_rank(lam: Weight, mu: Weight) -> None:
     if len(lam) != len(mu):
         raise ValueError(f"rank mismatch: {len(lam)} vs {len(mu)}")
@@ -267,36 +275,6 @@ def _mapping_to_perm(mapping: dict, n: int) -> Perm:
 def group_desc(n: int, factors: Iterable) -> GroupDesc:
     kept = sorted((f for f in factors if f.order > 1), key=lambda f: f.positions[0])
     return GroupDesc(n, tuple(kept))
-
-
-def is_subgroup(sub: GroupDesc, sup: GroupDesc) -> bool:
-    """Structural containment: every sub-factor embeds in a sup-factor."""
-    for f in sub.factors:
-        parent = _parent_factor(f, sup)
-        if parent is None:
-            return False
-    return True
-
-
-def _parent_factor(f, sup: GroupDesc):
-    """The sup-factor containing f, or None.
-
-    SymF fits in a SymF with a superset of positions; CycF fits in a CycF on
-    the identical block with order divisible by its own.
-    """
-    pos = set(f.positions)
-    for g in sup.factors:
-        gpos = set(g.positions)
-        if isinstance(f, SymF) and isinstance(g, SymF) and pos <= gpos:
-            return g
-        if (
-            isinstance(f, CycF)
-            and isinstance(g, CycF)
-            and f.positions == g.positions
-            and g.order % f.order == 0
-        ):
-            return g
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,20 @@ class TestCharacters:
         with pytest.raises(TypeError):
             CharacterVB.from_json(data)
 
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [{"hw": "12", "coef": 1}],
+            [{"hw": ["1", "2"], "coef": 1}, {"hw": ["1", "2"], "coef": 2}],
+            [{"hw": ["1", "2"], "coef": 1}, {"hw": [1, "2"], "coef": 2}],
+            [{"hw": ["0"], "coef": True}],
+            [{"hw": [True, "0"], "coef": 1}],
+        ],
+    )
+    def test_from_json_refuses_malformed_terms(self, terms):
+        with pytest.raises(ValueError):
+            CharacterVB.from_json({"basis": "verma", "terms": terms})
+
 
 class TestDims:
     def test_two_dim(self):

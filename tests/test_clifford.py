@@ -20,13 +20,16 @@ from wreatho.clifford import (
     validate_simplex,
     weight_mult,
 )
+from wreatho.skew_o import _flip_layer_choices
 from wreatho.symchars import irrep_dim
 from wreatho.weights import (
     GroupDesc,
+    flip_subset,
     orbit_of,
     parse_gamma,
     split_by_blocks,
     split_by_cells,
+    stabilizer,
 )
 
 
@@ -128,7 +131,7 @@ class TestDecomposeInduced:
         gamma = parse_gamma("S:2")
         lam = w(4, 4)
         trivial = GroupDesc(2, ())
-        out = decompose_induced(gamma, lam, trivial, ())
+        out = decompose_induced(gamma, lam, trivial, trivial, ())
         xs = classify_X_over(gamma, lam)
         assert out == {xs[0]: 1, xs[1]: 1}
 
@@ -138,13 +141,13 @@ class TestDecomposeInduced:
         xs = classify_X_over(gamma, lam)
         full = xs[0].stab
         for x in xs:
-            out = decompose_induced(gamma, lam, full, x.irrep)
+            out = decompose_induced(gamma, lam, full, full, x.irrep)
             assert out == {x: 1}
 
     def test_regular_cyclic(self):
         gamma = parse_gamma("C:3")
         lam = w(2, 2, 2)
-        out = decompose_induced(gamma, lam, GroupDesc(3, ()), ())
+        out = decompose_induced(gamma, lam, GroupDesc(3, ()), GroupDesc(3, ()), ())
         assert sorted(m for m in out.values()) == [1, 1, 1]
         assert len(out) == 3
 
@@ -153,7 +156,23 @@ class TestDecomposeInduced:
         lam = w(1, 0)  # trivial stabilizer
         s2 = GroupDesc(2, (parse_gamma("S:2").group().factors[0],))
         with pytest.raises(ValueError):
-            decompose_induced(gamma, lam, s2, ((2,),))
+            decompose_induced(gamma, lam, s2, s2, ((2,),))
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_flip_layer_dimension_accounting(self, data):
+        # sub = stab_T inside group = Stab(lam), the case the Verma
+        # decomposition asks about: sum_y m_y dim(y) = dim Ind Res N
+        # = [Stab(nu) : stab_T] * dim N
+        gamma = data.draw(gamma_specs())
+        lam = data.draw(pooled_weights(gamma))
+        for x in classify_X_over(gamma, lam):
+            for t_set, stab_t in _flip_layer_choices(gamma, x.orbit_rep):
+                nu = flip_subset(x.orbit_rep, t_set)
+                out = decompose_induced(gamma, nu, stab_t, x.stab, x.irrep)
+                total = sum(m * irrep_dim(y.stab, y.irrep) for y, m in out.items())
+                index = stabilizer(gamma, nu).order // stab_t.order
+                assert total == index * irrep_dim(x.stab, x.irrep), (gamma, lam, t_set, x)
 
 
 @st.composite
@@ -242,6 +261,8 @@ class TestJson:
             {"orbit_rep": ["0", "0"], "irrep": "2"},
             {"orbit_rep": ["0", "0"], "irrep": None},
             {"orbit_rep": "00", "irrep": ["2"]},
+            {"orbit_rep": [True, 0], "irrep": []},
+            {"orbit_rep": [False, False], "irrep": ["2"]},
         ],
     )
     def test_rejects_fields_of_the_wrong_shape(self, data):

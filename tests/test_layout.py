@@ -43,20 +43,22 @@ ALLOWED = {
     "parse each integer option",
     "weights.kostant_p": _ORACLE,
     "weights.simple_roots": _ORACLE,
+    "weights.GroupDesc.elements": "the brute-force reference that the "
+    "stabilizer and restriction tests enumerate",
     "skew_o.partial_order_X": "test_order_compatible_with_decomposition checks "
     "that no Verma subquotient lies above its top",
     "cato_a.CharacterVB.evaluate": "perfbench/tracing.py hooks it; the test "
     "oracle char_rows_by_evaluation reads weight dimensions through it",
     "cato_a.CharacterVB.concat_product": "the tensor-factorization formula "
     "for characters of a product (acceptance criterion 04)",
+    "cato_a.CharacterVB.scale": "ch Z = sum D ch V, which selftest and "
+    "test_skew_o sum with it",
     "cato_a.CharacterVB.from_json": "inverse of to_json, which char prints",
     "cato_a.verma_factors_A": "Verma composition factors over the plain "
     "algebra, which test_skew_o compares the skew decompositions with",
     "cato_a.ch_verma": "the plain-algebra Verma character; test_cato_a "
     "checks ch Verma = sum of simple characters with it",
     "clifford.weight_mult": "Clifford theory: weight multiplicities of a simple",
-    "clifford.decompose_induced": "Clifford theory: decomposition of an "
-    "induced stabilizer representation",
     "clifford.simplex_from_json": "inverse of simplex_to_json, which "
     "simples and block print",
     "obstruction.obstruction_ek": "the e_k obstruction of the no-go "
@@ -105,17 +107,40 @@ def _definitions(tree):
 
 def _name_counts(tree) -> Counter:
     """How often each name is read in tree, as a Name or an attribute;
-    type annotations do not count."""
+    type annotations do not count, nor does a Name that an enclosing
+    function binds as a parameter or an assignment target (a local of the
+    same name is not a caller)."""
     hints = set()
     for node in ast.walk(tree):
         for hint in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             if hint is not None:
                 hints.update(map(id, ast.walk(hint)))
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in hints
-    )
+    counts = Counter()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound_names(node)
+        if id(node) not in hints:
+            if isinstance(node, ast.Name) and node.id not in local:
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return counts
+
+
+def _bound_names(func) -> set:
+    """The parameters of func and the names it assigns."""
+    args = func.args
+    params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return {a.arg for a in params if a is not None} | {
+        node.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
 
 
 def _uncalled_public_names(src=SRC) -> set:
@@ -144,6 +169,16 @@ def test_scan_sees_a_new_uncalled_function(tmp_path):
         (tmp_path / p.name).write_text(p.read_text())
     with open(tmp_path / "weights.py", "a") as fh:
         fh.write("\n\ndef orphan():\n    return orphan()\n")
+    assert _uncalled_public_names(tmp_path) == set(ALLOWED) | {"weights.orphan"}
+
+
+def test_scan_does_not_count_a_local_of_the_same_name(tmp_path):
+    # a parameter named orphan is not a caller of the function orphan
+    for p in SRC.glob("*.py"):
+        (tmp_path / p.name).write_text(p.read_text())
+    with open(tmp_path / "weights.py", "a") as fh:
+        fh.write("\n\ndef orphan():\n    return 0\n")
+        fh.write("\n\ndef _reader(orphan):\n    return orphan\n")
     assert _uncalled_public_names(tmp_path) == set(ALLOWED) | {"weights.orphan"}
 
 

@@ -16,7 +16,6 @@ from wreatho.symchars import (
     class_size,
     dim_irrep,
     check_irrep,
-    induce_restrict_mult,
     irrep_dim,
     irrep_labels,
     list_irreps,
@@ -121,25 +120,25 @@ class TestInduceRestrict:
     def test_regular_s2(self):
         sub = GroupDesc(2, ())
         sup = GroupDesc(2, (sym((0, 1)),))
-        assert induce_restrict_mult(sub, (), sup, ((2,),)) == 1
-        assert induce_restrict_mult(sub, (), sup, ((1, 1),)) == 1
+        assert restricted_inner_product(sub, sub, (), sup, ((2,),)) == 1
+        assert restricted_inner_product(sub, sub, (), sup, ((1, 1),)) == 1
 
     def test_regular_cyclic3(self):
         sub = GroupDesc(3, ())
         sup = GroupDesc(3, (CycF((0, 1, 2), 3),))
         for j in range(3):
-            assert induce_restrict_mult(sub, (), sup, (j,)) == 1
+            assert restricted_inner_product(sub, sub, (), sup, (j,)) == 1
 
     def test_identity_induction(self):
         g = GroupDesc(2, (sym((0, 1)),))
-        assert induce_restrict_mult(g, ((1, 1),), g, ((1, 1),)) == 1
-        assert induce_restrict_mult(g, ((1, 1),), g, ((2,),)) == 0
+        assert restricted_inner_product(g, g, ((1, 1),), g, ((1, 1),)) == 1
+        assert restricted_inner_product(g, g, ((1, 1),), g, ((2,),)) == 0
 
     def test_not_subgroup(self):
         g2 = GroupDesc(2, (sym((0, 1)),))
         g_other = GroupDesc(2, (CycF((0, 1), 2),))
         with pytest.raises(ValueError):
-            induce_restrict_mult(g_other, (0,), g2, ((2,),))
+            restricted_inner_product(g_other, g_other, (0,), g2, ((2,),))
 
     def test_dimension_accounting(self):
         rng = random.Random(9)
@@ -153,7 +152,7 @@ class TestInduceRestrict:
             for sub_irrep in list_irreps(sub):
                 total = 0
                 for sup_irrep in list_irreps(sup):
-                    m = induce_restrict_mult(sub, sub_irrep, sup, sup_irrep)
+                    m = restricted_inner_product(sub, sub, sub_irrep, sup, sup_irrep)
                     total += m * irrep_dim(sup, sup_irrep)
                 index = sup.order // sub.order
                 assert total == index * irrep_dim(sub, sub_irrep), (sub, sup, sub_irrep)
@@ -164,7 +163,7 @@ class TestInduceRestrict:
         sup = GroupDesc(3, (sym((0, 1, 2)),))
         for lam in partitions_of(3):
             for mu in partitions_of(2):
-                got = induce_restrict_mult(sub, (mu,), sup, (lam,))
+                got = restricted_inner_product(sub, sub, (mu,), sup, (lam,))
                 # Frobenius the slow way via explicit traces over S2 = {id, (01)}
                 ident = (0, 1, 2)
                 swap = (1, 0, 2)
